@@ -19,9 +19,9 @@ from .formats import (atomic_write_bytes, read_pgm, read_tensors, write_pgm,
                       write_ppm, write_tensors)
 from .gradcheck import DEFAULT_TOL, run_suite
 from .metrics import evaluate_dataset
-from .network import PARAM_ORDER, validate_params
+from .network import EMB_DIM, PARAM_ORDER, TRUNK_CHANNELS, validate_params
 from .optim import DivergenceError
-from .pipeline import infer, infer_cc_baseline
+from .pipeline import PipelineConfig, infer, infer_cc_baseline
 from .render import render_overlay
 from .synth import (GenerationError, InstanceSet, Scene, annotations_to_document,
                     generate_scene, scene_seeds)
@@ -54,18 +54,20 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _apply_cluster_overrides(cfg: RunConfig, args) -> RunConfig:
-    mean_shift, resolve = cfg.mean_shift, cfg.resolve
-    if getattr(args, "bandwidth", None) is not None:
-        mean_shift = dataclasses.replace(mean_shift, bandwidth=args.bandwidth)
-    if getattr(args, "beta", None) is not None:
-        resolve = dataclasses.replace(resolve, beta=args.beta)
-    if getattr(args, "threshold_a", None) is not None:
-        resolve = dataclasses.replace(resolve, threshold_a=args.threshold_a)
+def _load_pipeline(args) -> PipelineConfig:
+    """The run config's pipeline settings with the command-line overrides applied."""
+    pipe = _load_config(args).pipeline
+    mean_shift, resolve = pipe.mean_shift, pipe.resolve
     try:
-        return dataclasses.replace(cfg, mean_shift=mean_shift, resolve=resolve)
+        if args.bandwidth is not None:
+            mean_shift = dataclasses.replace(mean_shift, bandwidth=args.bandwidth)
+        if args.beta is not None:
+            resolve = dataclasses.replace(resolve, beta=args.beta)
+        if args.threshold_a is not None:
+            resolve = dataclasses.replace(resolve, threshold_a=args.threshold_a)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return dataclasses.replace(pipe, mean_shift=mean_shift, resolve=resolve)
 
 
 def _load_checkpoint(path) -> dict:
@@ -85,8 +87,15 @@ def _load_dataset(dataset_dir) -> list:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    entries = manifest.get("scenes", []) if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise ConfigError(f"{manifest_path}: expected an object with a \"scenes\" list")
     scenes = []
-    for entry in manifest.get("scenes", []):
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("image"), str)
+                and isinstance(entry.get("masks"), str)):
+            raise ConfigError(f"{manifest_path}: scene entry {i} needs string "
+                              "\"image\" and \"masks\" paths")
         image = read_pgm(os.path.join(dataset_dir, entry["image"]))
         masks = read_tensors(os.path.join(dataset_dir, entry["masks"]))
         h, w = image.shape
@@ -151,7 +160,8 @@ def cmd_train(args) -> int:
                   {name: result.params[name].astype(np.float32)
                    for name in PARAM_ORDER})
     _write_json(os.path.join(args.out, "checkpoint.json"), {
-        "architecture": {"channels": 16, "emb_dim": 3, "downsample": 2},
+        "architecture": {"channels": TRUNK_CHANNELS, "emb_dim": EMB_DIM,
+                         "downsample": 2},
         "best_epoch": result.best_epoch,
         "epochs_run": cfg.optim.epochs,
         "config": run_config_to_dict(cfg),
@@ -166,7 +176,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _apply_cluster_overrides(_load_config(args), args)
+    pipe = _load_pipeline(args)
     params = _load_checkpoint(args.checkpoint)
     scenes = _load_dataset(args.dataset)
     if not scenes:
@@ -174,10 +184,10 @@ def cmd_eval(args) -> int:
     pred_sets, gt_sets, pred_fgs, gt_fgs, rows = [], [], [], [], []
     for i, scene in enumerate(scenes):
         if args.method == "cc":
-            instances, fg = infer_cc_baseline(params, scene.image, cfg.seg_threshold)
+            instances, fg = infer_cc_baseline(params, scene.image, pipe.seg_threshold)
             clusters = len(instances)
         else:
-            instances, fg, diag = infer(params, scene.image, cfg.pipeline_config())
+            instances, fg, diag = infer(params, scene.image, pipe)
             clusters = diag.clusters
         pred_sets.append(instances)
         gt_sets.append(scene.instances)
@@ -198,10 +208,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    cfg = _apply_cluster_overrides(_load_config(args), args)
+    pipe = _load_pipeline(args)
     params = _load_checkpoint(args.checkpoint)
     image = read_pgm(args.image)
-    instances, fg, diag = infer(params, image, cfg.pipeline_config())
+    instances, fg, diag = infer(params, image, pipe)
     os.makedirs(args.out, exist_ok=True)
     write_tensors(os.path.join(args.out, "instances.segt"), _mask_entries(instances))
     write_tensors(os.path.join(args.out, "min_similarity.segt"),

@@ -188,6 +188,10 @@ def mean_shift(fe: ForegroundEmbeddings, cfg: MeanShiftConfig) -> ClusterModel:
         centers.append(_iterate_mode(points, centroid, cfg))
     centers = np.asarray(centers)
 
-    d = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
-    assignment = d.argmin(axis=1)
+    assignment = center_distances(points, centers).argmin(axis=1)
     return ClusterModel(centers=centers, assignment=assignment)
+
+
+def center_distances(vectors: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(N, K) Euclidean distances from each of N vectors to each of K centers."""
+    return np.linalg.norm(vectors[:, None, :] - centers[None, :, :], axis=2)

@@ -40,18 +40,11 @@ class RunConfig:
     scene: SceneSpec = field(default_factory=SceneSpec)
     loss: LossConfig = field(default_factory=LossConfig)
     optim: OptimConfig = field(default_factory=OptimConfig)
-    mean_shift: MeanShiftConfig = field(default_factory=MeanShiftConfig)
-    resolve: ResolveConfig = field(default_factory=ResolveConfig)
-    seg_threshold: float = 0.5
+    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     augment: AugmentParams | None = field(default_factory=AugmentParams)
 
-    def __post_init__(self):
-        if not 0.0 < self.seg_threshold < 1.0:
-            raise ValueError("seg_threshold must lie in (0, 1)")
-
     def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(seg_threshold=self.seg_threshold,
-                              mean_shift=self.mean_shift, resolve=self.resolve)
+        return self.pipeline
 
 
 _SECTIONS = {
@@ -60,15 +53,19 @@ _SECTIONS = {
     "optim": OptimConfig,
     "mean_shift": MeanShiftConfig,
     "resolve": ResolveConfig,
+    "pipeline": PipelineConfig,
     "augment": AugmentParams,
 }
+# Sections stored inside RunConfig.pipeline rather than as fields of their own.
+_PIPELINE_PARTS = ("mean_shift", "resolve")
 
 
 def _build_section(cls, data, section):
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be an object")
-    known = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(known)
+    # nested sections (PipelineConfig.mean_shift, ...) have top-level keys of their own
+    known = {f.name for f in dataclasses.fields(cls)} - set(_SECTIONS)
+    unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown key(s) in {section!r}: {sorted(unknown)}")
     for key, value in data.items():
@@ -83,7 +80,7 @@ def _build_section(cls, data, section):
 def run_config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("run config must be a JSON object")
-    allowed = {"seed", "pipeline"} | set(_SECTIONS)
+    allowed = {"seed"} | set(_SECTIONS)
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
@@ -99,19 +96,9 @@ def run_config_from_dict(doc: dict) -> RunConfig:
             kwargs["augment"] = None
             continue
         kwargs[section] = _build_section(cls, doc[section], section)
-    if "pipeline" in doc:
-        pipe = doc["pipeline"]
-        if not isinstance(pipe, dict) or set(pipe) - {"seg_threshold"}:
-            raise ConfigError("pipeline section supports only 'seg_threshold'")
-        if "seg_threshold" in pipe:
-            value = pipe["seg_threshold"]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError("pipeline.seg_threshold must be a number")
-            kwargs["seg_threshold"] = float(value)
-    try:
-        return RunConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    parts = {name: kwargs.pop(name) for name in _PIPELINE_PARTS if name in kwargs}
+    kwargs["pipeline"] = dataclasses.replace(kwargs.get("pipeline", PipelineConfig()), **parts)
+    return RunConfig(**kwargs)
 
 
 def load_run_config(path) -> RunConfig:
@@ -128,8 +115,9 @@ def load_run_config(path) -> RunConfig:
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
-    doc = {"seed": cfg.seed, "pipeline": {"seg_threshold": cfg.seg_threshold}}
-    for section, _ in _SECTIONS.items():
-        value = getattr(cfg, section)
-        doc[section] = None if value is None else dataclasses.asdict(value)
+    doc = {"seed": cfg.seed}
+    for section in _SECTIONS:
+        value = getattr(cfg.pipeline if section in _PIPELINE_PARTS else cfg, section)
+        doc[section] = None if value is None else {
+            k: v for k, v in dataclasses.asdict(value).items() if k not in _SECTIONS}
     return doc

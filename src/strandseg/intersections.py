@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusterModel, ForegroundEmbeddings
+from .clustering import ClusterModel, ForegroundEmbeddings, center_distances
 from .synth import InstanceSet
 
 
@@ -73,6 +73,14 @@ def resolve_pixel(embedding: np.ndarray, centers: np.ndarray, cfg: ResolveConfig
     return owners
 
 
+def _scores(fe: ForegroundEmbeddings, cm: ClusterModel, beta: float):
+    """(N, K) score of every center against each pixel's nearest, and the nearest index."""
+    d = center_distances(fe.vectors, cm.centers)
+    nearest = d.argmin(axis=1)
+    d1 = d[np.arange(len(d)), nearest]
+    return 1.0 / (1.0 + np.exp(-beta * (d - d1[:, None]))), nearest
+
+
 def min_similarity(fe: ForegroundEmbeddings, cm: ClusterModel, cfg: ResolveConfig) -> np.ndarray:
     """Per-foreground-pixel min_i s_i, as an (H, W) map (1.0 off-foreground).
 
@@ -80,16 +88,11 @@ def min_similarity(fe: ForegroundEmbeddings, cm: ClusterModel, cfg: ResolveConfi
     exported alongside instance masks.
     """
     out = np.ones((fe.height, fe.width))
-    if len(fe) == 0:
+    if len(fe) == 0 or cm.k == 1:
         return out
-    d = np.linalg.norm(fe.vectors[:, None, :] - cm.centers[None, :, :], axis=2)
-    if cm.k == 1:
-        out[fe.pixels[:, 0], fe.pixels[:, 1]] = 1.0
-        return out
-    d1 = d.min(axis=1)
-    scores = 1.0 / (1.0 + np.exp(-cfg.beta * (d - d1[:, None])))
+    scores, nearest = _scores(fe, cm, cfg.beta)
     # the nearest cluster scores exactly 0.5 against itself; ignore it
-    scores[np.arange(len(d)), d.argmin(axis=1)] = np.inf
+    scores[np.arange(len(scores)), nearest] = np.inf
     out[fe.pixels[:, 0], fe.pixels[:, 1]] = scores.min(axis=1)
     return out
 
@@ -105,11 +108,9 @@ def build_instances(fe: ForegroundEmbeddings, cm: ClusterModel,
     masks = [np.zeros((fe.height, fe.width), dtype=bool) for _ in range(cm.k)]
     if len(fe) == 0:
         return InstanceSet(fe.height, fe.width, [])
-    d = np.linalg.norm(fe.vectors[:, None, :] - cm.centers[None, :, :], axis=2)
-    nearest = d.argmin(axis=1)
-    d1 = d[np.arange(len(d)), nearest]
-    member = 1.0 / (1.0 + np.exp(-cfg.beta * (d - d1[:, None]))) < cfg.threshold_a
-    member[np.arange(len(d)), nearest] = True
+    scores, nearest = _scores(fe, cm, cfg.beta)
+    member = scores < cfg.threshold_a
+    member[np.arange(len(member)), nearest] = True
     rows, cols = fe.pixels[:, 0], fe.pixels[:, 1]
     for c in range(cm.k):
         masks[c][rows[member[:, c]], cols[member[:, c]]] = True

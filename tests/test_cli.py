@@ -82,6 +82,8 @@ def test_train_eval_infer_render_flow(tmp_path, cfg_path):
     entries = read_tensors(ckpt)
     assert set(entries) == set(PARAM_ORDER)
     sidecar = json.loads((tmp_path / "run1" / "checkpoint.json").read_text())
+    assert sidecar["architecture"]["channels"] == entries["conv1_w"].shape[-1]
+    assert sidecar["architecture"]["emb_dim"] == entries["emb_w"].shape[-1]
     assert sidecar["epochs_run"] == 2
     assert 1 <= sidecar["best_epoch"] <= 2
     csv_lines = (tmp_path / "run1" / "loss_log.csv").read_text().splitlines()
@@ -176,6 +178,23 @@ def test_tiny_dataset_rejected(tmp_path, cfg_path):
     _synth(cfg_path, data, count=1)
     assert main(["train", "--config", cfg_path, "--dataset", data,
                  "--out", str(tmp_path / "run")]) == 2
+
+
+def test_malformed_manifest_exits_2(tmp_path, cfg_path, capsys):
+    data = tmp_path / "data"
+    _synth(cfg_path, str(data), count=3)
+    manifest_path = data / "manifest.json"
+    no_image = json.loads(manifest_path.read_text())
+    del no_image["scenes"][1]["image"]
+    int_image = json.loads(manifest_path.read_text())
+    int_image["scenes"][1]["image"] = 3
+    for manifest, where in ((no_image, "entry 1"), ([1, 2], "manifest.json"),
+                            (int_image, "entry 1")):
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["train", "--config", cfg_path, "--dataset", str(data),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert str(manifest_path) in err and where in err
 
 
 def test_corrupt_checkpoint_exits_2(tmp_path, cfg_path):

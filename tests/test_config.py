@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from strandseg.config import (ConfigError, RunConfig, load_run_config,
                               run_config_from_dict, run_config_to_dict)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_defaults_round_trip():
@@ -11,6 +14,13 @@ def test_defaults_round_trip():
     doc = run_config_to_dict(cfg)
     back = run_config_from_dict(doc)
     assert back == cfg
+    # the JSON layout keeps one section per stage, with the pipeline's
+    # mean_shift and resolve parts at top level
+    assert set(doc) == {"seed", "scene", "loss", "optim", "mean_shift",
+                        "resolve", "pipeline", "augment"}
+    assert doc["pipeline"] == {"seg_threshold": 0.5}
+    desk = load_run_config(CONFIGS / "desk64.json")
+    assert run_config_from_dict(run_config_to_dict(desk)) == desk
 
 
 def test_partial_overrides():
@@ -25,7 +35,7 @@ def test_partial_overrides():
     assert cfg.scene.noise_sigma == 0.0
     assert cfg.scene.height == 64  # untouched default
     assert cfg.optim.epochs == 5
-    assert cfg.seg_threshold == 0.6
+    assert cfg.pipeline.seg_threshold == 0.6
 
 
 def test_unknown_top_level_key_rejected():

@@ -189,3 +189,31 @@ def test_min_similarity_single_cluster_all_one():
     model = ClusterModel(centers=np.zeros((1, 5)), assignment=np.zeros(2, int))
     sim = min_similarity(fe, model, ResolveConfig())
     assert np.all(sim == 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_overlap_matches_min_similarity(k):
+    # build_instances and min_similarity read one score matrix: a pixel is
+    # shared exactly when its lowest non-nearest score is below threshold_a
+    rng = np.random.default_rng(k)
+    h = w = 8
+    n = 40
+    centers = rng.integers(-3, 4, size=(k, 5)).astype(float)
+    flat = rng.choice(h * w, size=n, replace=False)
+    pixels = np.stack([flat // w, flat % w], axis=1)
+    vectors = centers[rng.integers(0, k, size=n)] + rng.normal(scale=1.0, size=(n, 5))
+    # exact midpoints: integer centers give both distances bit-equal
+    for p in range(0, n, 3):
+        vectors[p] = (centers[p % k] + centers[(p + 1) % k]) / 2
+    fe = ForegroundEmbeddings(pixels=pixels, vectors=vectors, height=h, width=w)
+    model = ClusterModel(centers=centers, assignment=np.zeros(n, dtype=int))
+    fg = np.zeros((h, w), dtype=bool)
+    fg[pixels[:, 0], pixels[:, 1]] = True
+    for a in (0.55, 0.7, 0.9):
+        cfg = ResolveConfig(beta=2.0, threshold_a=a)
+        overlap = build_instances(fe, model, cfg).overlap()
+        sim = min_similarity(fe, model, cfg)
+        np.testing.assert_array_equal(overlap[fg], sim[fg] < a)
+        assert not overlap[~fg].any()
+    if k > 1:
+        assert (sim[fg] == 0.5).any() and overlap.any()
