@@ -312,13 +312,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except GenerationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, GenerationError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

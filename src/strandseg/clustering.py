@@ -10,14 +10,20 @@ set stops changing.
 Converged modes are reduced to final centers in a canonical order: modes
 are ranked by in-window support (ties broken lexicographically on the mode
 vector), and each not-yet-claimed mode in rank order anchors a group that
-absorbs all unclaimed modes within `merge_radius` of it. The group centroid
-is then re-iterated to convergence so every returned center is itself a
+absorbs all unclaimed modes within `merge_radius` of it. The group centroids
+are then re-iterated to convergence so every returned center is itself a
 mode. This ordering makes the result independent of input permutation when
 all points are used as seeds.
+
+One window rule (`_windows`) decides in-window membership everywhere: for
+the update steps, for support, and for the merged centroids. One batched
+convergence loop (`_converge`) serves both the seeds and the merged
+centroids.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,14 +48,16 @@ class MeanShiftConfig:
     coord_scale: float = 1.0
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be > 0")
-        if self.merge_radius <= 0:
-            raise ValueError("merge_radius must be > 0")
+        for name in ("bandwidth", "merge_radius", "convergence_tol"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not -math.inf < self.coord_scale < math.inf:
+            raise ValueError("coord_scale must be finite")
         if self.seed_cap < 1:
             raise ValueError("seed_cap must be >= 1")
-        if self.max_iterations < 1 or self.convergence_tol <= 0:
-            raise ValueError("max_iterations >= 1 and convergence_tol > 0 required")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -112,20 +120,40 @@ class ClusterModel:
         return len(self.centers)
 
 
-def _iterate_mode(points: np.ndarray, start: np.ndarray, cfg: MeanShiftConfig):
-    """Run the flat-kernel update from one start; returns the converged mode."""
-    z = start.astype(np.float64).copy()
+def _windows(points: np.ndarray, queries: np.ndarray, cfg: MeanShiftConfig) -> np.ndarray:
+    """(Q, N) bool: point n lies within `bandwidth` of query q (the flat kernel).
+
+    Squared distances come from the dot-product identity, so memory stays
+    O(Q*N) with no (Q, N, 5) difference tensor.
+    """
+    d_sq = ((queries * queries).sum(axis=1)[:, None] + (points * points).sum(axis=1)[None, :]
+            - 2.0 * (queries @ points.T))
+    return d_sq <= cfg.bandwidth * cfg.bandwidth + 1e-12
+
+
+def _converge(points: np.ndarray, starts: np.ndarray, cfg: MeanShiftConfig) -> np.ndarray:
+    """Evolve every start in parallel to its flat-kernel mode.
+
+    Each step jumps to the mean of the in-window points; a start stops once it
+    moves less than `convergence_tol` (flat-kernel updates hit exact fixed
+    points once window membership stabilizes). A start whose window is empty
+    stays where it is.
+    """
+    modes = np.array(starts, dtype=np.float64)
+    active = np.ones(len(modes), dtype=bool)
     for _ in range(cfg.max_iterations):
-        d = np.linalg.norm(points - z, axis=1)
-        inside = d <= cfg.bandwidth
-        if not inside.any():
+        if not active.any():
             break
-        z_new = points[inside].mean(axis=0)
-        shift = float(np.linalg.norm(z_new - z))
-        z = z_new
-        if shift < cfg.convergence_tol:
-            break
-    return z
+        cur = modes[active]
+        inside = _windows(points, cur, cfg)
+        counts = inside.sum(axis=1)
+        nxt = inside.astype(np.float64) @ points / np.maximum(counts, 1)[:, None]
+        empty = counts == 0
+        nxt[empty] = cur[empty]
+        shift = np.linalg.norm(nxt - cur, axis=1)
+        modes[active] = nxt
+        active[np.flatnonzero(active)] = shift >= cfg.convergence_tol
+    return modes
 
 
 def mean_shift(fe: ForegroundEmbeddings, cfg: MeanShiftConfig) -> ClusterModel:
@@ -144,49 +172,26 @@ def mean_shift(fe: ForegroundEmbeddings, cfg: MeanShiftConfig) -> ClusterModel:
     else:
         rng = np.random.default_rng(cfg.rng_seed)
         seed_idx = rng.choice(n, size=cfg.seed_cap, replace=False)
-
-    # Evolve all seeds in parallel until every one has converged (flat-kernel
-    # updates hit exact fixed points once window membership stabilizes).
-    # Squared distances via the dot-product identity keep memory at O(S*N).
-    modes = points[seed_idx].astype(np.float64).copy()
-    pts_sq = (points * points).sum(axis=1)
-    bw_sq = cfg.bandwidth * cfg.bandwidth
-    active = np.ones(len(modes), dtype=bool)
-    for _ in range(cfg.max_iterations):
-        if not active.any():
-            break
-        cur = modes[active]
-        d_sq = (cur * cur).sum(axis=1)[:, None] + pts_sq[None, :] - 2.0 * (cur @ points.T)
-        inside = d_sq <= bw_sq + 1e-12
-        counts = inside.sum(axis=1)
-        counts[counts == 0] = 1  # empty window: stay put, will deactivate
-        nxt = inside.astype(np.float64) @ points / counts[:, None]
-        shift = np.linalg.norm(nxt - cur, axis=1)
-        modes[active] = nxt
-        still = shift >= cfg.convergence_tol
-        active[np.flatnonzero(active)] = still
+    modes = _converge(points, points[seed_idx], cfg)
 
     # Canonical processing order: strongest support first, then lexicographic.
-    support = np.empty(len(modes), dtype=np.int64)
-    for i, m in enumerate(modes):
-        support[i] = int((np.linalg.norm(points - m, axis=1) <= cfg.bandwidth).sum())
+    support = _windows(points, modes, cfg).sum(axis=1)
     order = np.lexsort(tuple(modes[:, dim] for dim in reversed(range(modes.shape[1])))
                        + (-support,))
 
     claimed = np.zeros(len(modes), dtype=bool)
-    centers = []
+    centroids = []
     for i in order:
         if claimed[i]:
             continue
         near = np.linalg.norm(modes - modes[i], axis=1) <= cfg.merge_radius
         group = ~claimed & near
         claimed |= group
-        # Centroid over member modes in canonical order, re-converged so the
-        # returned center is itself a fixed point of the update.
+        # Centroid over member modes in canonical order.
         members = order[group[order]]
-        centroid = modes[members].mean(axis=0)
-        centers.append(_iterate_mode(points, centroid, cfg))
-    centers = np.asarray(centers)
+        centroids.append(modes[members].mean(axis=0))
+    # Re-converge so every returned center is itself a fixed point of the update.
+    centers = _converge(points, np.asarray(centroids), cfg)
 
     assignment = center_distances(points, centers).argmin(axis=1)
     return ClusterModel(centers=centers, assignment=assignment)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .clustering import MeanShiftConfig
@@ -71,6 +72,9 @@ def _build_section(cls, data, section):
     for key, value in data.items():
         if not isinstance(value, (bool, int, float)):
             raise ConfigError(f"{section}.{key} must be a number or boolean")
+        # json.load accepts NaN and +-Infinity
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{section}.{key} must be finite")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:

@@ -16,6 +16,7 @@ gates membership too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class ResolveConfig:
     threshold_a: float = 0.7
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be finite and > 0")
         # s_i >= 0.5 always, so thresholds at or below 0.5 could never fire
         if not 0.5 < self.threshold_a < 1.0:
             raise ValueError("threshold_a must lie in (0.5, 1)")

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from strandseg.cli import main
-from strandseg.formats import read_pgm, read_ppm, read_tensors, write_tensors
-from strandseg.network import PARAM_ORDER
+from strandseg.formats import read_pgm, read_ppm, read_tensors, write_pgm, write_tensors
+from strandseg.network import PARAM_ORDER, init_params
+from strandseg.synth import SceneSpec, generate_scene
 
 CONFIG = {
     "seed": 3,
@@ -230,3 +231,37 @@ def test_cluster_overrides_apply(tmp_path, cfg_path):
     assert main(["eval", "--config", cfg_path, "--dataset", data,
                  "--checkpoint", ckpt, "--threshold-a", "0.4",
                  "--out", ev]) == 2
+
+
+@pytest.fixture()
+def infer_args(tmp_path):
+    """An `infer` command line over freshly initialized weights and one 32 px scene."""
+    ckpt = tmp_path / "ckpt.segt"
+    write_tensors(ckpt, {name: arr.astype(np.float32) for name, arr in init_params(0).items()})
+    image = tmp_path / "scene.pgm"
+    write_pgm(image, generate_scene(SceneSpec(height=32, width=32), 3).image)
+    return ["infer", "--checkpoint", str(ckpt), "--image", str(image),
+            "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("flag,value", [("--bandwidth", "nan"), ("--bandwidth", "inf"),
+                                        ("--beta", "nan")])
+def test_non_finite_override_exits_2(infer_args, flag, value, capsys):
+    assert main(infer_args) == 0
+    capsys.readouterr()
+    assert main(infer_args + [flag, value]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"mean_shift": {"bandwidth": NaN}}', "mean_shift.bandwidth"),
+    ('{"resolve": {"beta": Infinity}}', "resolve.beta"),
+    ('{"augment": {"rotation_degrees": Infinity}}', "augment.rotation_degrees"),
+    ('{"optim": {"learning_rate": -Infinity}}', "optim.learning_rate"),
+], ids=["bandwidth-NaN", "beta-Infinity", "rotation_degrees-Infinity", "learning_rate--Infinity"])
+def test_non_finite_config_value_exits_2(tmp_path, infer_args, text, key, capsys):
+    # json.load accepts these literals; the config loader must not
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text)
+    assert main(infer_args + ["--config", str(path)]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strandseg.clustering import (ForegroundEmbeddings, MeanShiftConfig,
-                                  _iterate_mode, augment_coordinates,
-                                  mean_shift)
+                                  augment_coordinates, mean_shift)
 
 
 def adjusted_rand_index(a, b):
@@ -126,7 +125,10 @@ def test_centers_are_fixed_points():
     cfg = MeanShiftConfig(seed_cap=4096)
     model = mean_shift(_fe_from_vectors(vectors), cfg)
     for center in model.centers:
-        again = _iterate_mode(vectors, center, cfg)
+        # one flat-kernel step, written out: the mean of the in-window points
+        inside = np.linalg.norm(vectors - center, axis=1) <= cfg.bandwidth
+        assert inside.any()
+        again = vectors[inside].mean(axis=0)
         assert np.linalg.norm(again - center) < cfg.convergence_tol
 
 
@@ -200,6 +202,79 @@ def test_tie_breaks_to_lowest_center_index():
     assert got.assignment[-1] == 0
 
 
+def test_empty_window_centroid_stays_put():
+    # two lone points 2 apart: each is its own mode, merge_radius folds them
+    # into one group, and the centroid between them has an empty window, so
+    # re-convergence must leave it where it is
+    vectors = np.array([[1.0, 0, 0, 0, 0], [3.0, 0, 0, 0, 0]])
+    got = mean_shift(_fe_from_vectors(vectors),
+                     MeanShiftConfig(bandwidth=0.5, merge_radius=2.5))
+    assert got.k == 1
+    np.testing.assert_array_equal(got.centers, [[2.0, 0, 0, 0, 0]])
+    np.testing.assert_array_equal(got.assignment, [0, 0])
+
+
+def _reference_mean_shift(points, cfg):
+    """The algorithm one start at a time: norm-based windows, per-mode support,
+    the canonical merge and a scalar re-convergence of each group centroid."""
+
+    def iterate(z):
+        for _ in range(cfg.max_iterations):
+            inside = np.linalg.norm(points - z, axis=1) <= cfg.bandwidth
+            if not inside.any():
+                break
+            z_new = points[inside].mean(axis=0)
+            shift = np.linalg.norm(z_new - z)
+            z = z_new
+            if shift < cfg.convergence_tol:
+                break
+        return z
+
+    n = len(points)
+    if n <= cfg.seed_cap:
+        seed_idx = np.arange(n)
+    else:
+        seed_idx = np.random.default_rng(cfg.rng_seed).choice(n, size=cfg.seed_cap,
+                                                              replace=False)
+    modes = np.array([iterate(points[i]) for i in seed_idx])
+    support = np.array([(np.linalg.norm(points - m, axis=1) <= cfg.bandwidth).sum()
+                        for m in modes])
+    order = np.lexsort(tuple(modes[:, dim] for dim in reversed(range(5))) + (-support,))
+    claimed = np.zeros(len(modes), dtype=bool)
+    centers = []
+    for i in order:
+        if claimed[i]:
+            continue
+        group = ~claimed & (np.linalg.norm(modes - modes[i], axis=1) <= cfg.merge_radius)
+        claimed |= group
+        centers.append(iterate(modes[order[group[order]]].mean(axis=0)))
+    centers = np.array(centers)
+    d = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
+    return centers, d.argmin(axis=1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed_cap,merge_radius", [(4096, 0.375), (48, 0.375),
+                                                   (4096, 1.6), (48, 1.6)])
+def test_matches_scalar_reference(seed, seed_cap, merge_radius):
+    # a chain of 2-4 blobs 1-2.5 apart (so merge_radius 1.6 joins some) with
+    # enough scatter for several modes per blob, plus 10 stray points
+    rng = np.random.default_rng(100 + seed)
+    steps = rng.normal(size=(int(rng.integers(2, 5)), 5))
+    steps *= rng.uniform(1.0, 2.5, size=(len(steps), 1)) / np.linalg.norm(steps, axis=1,
+                                                                        keepdims=True)
+    vectors, _ = _blobs(rng, np.cumsum(steps, axis=0), per=int(rng.integers(25, 40)),
+                        spread=0.3)
+    vectors = np.concatenate([vectors, rng.uniform(vectors.min(axis=0), vectors.max(axis=0),
+                                                   size=(10, 5))])
+    cfg = MeanShiftConfig(seed_cap=seed_cap, merge_radius=merge_radius, rng_seed=seed)
+    want_centers, want_assignment = _reference_mean_shift(vectors, cfg)
+    got = mean_shift(_fe_from_vectors(vectors), cfg)
+    assert got.k == len(want_centers)
+    np.testing.assert_array_equal(got.assignment, want_assignment)
+    np.testing.assert_allclose(got.centers, want_centers, rtol=0, atol=1e-12)
+
+
 def test_seed_cap_subsampling_still_finds_blobs():
     rng = np.random.default_rng(8)
     vectors, truth = _blobs(rng, [np.zeros(5), np.r_[3.0, 0, 0, 0, 0]], per=400)
@@ -226,3 +301,7 @@ def test_config_validation():
         MeanShiftConfig(merge_radius=-1.0)
     with pytest.raises(ValueError):
         MeanShiftConfig(seed_cap=0)
+    for field in ("bandwidth", "merge_radius", "convergence_tol", "coord_scale"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                MeanShiftConfig(**{field: value})
