@@ -72,8 +72,13 @@ def _build_section(cls, data, section):
     for key, value in data.items():
         if not isinstance(value, (bool, int, float)):
             raise ConfigError(f"{section}.{key} must be a number or boolean")
-        # json.load accepts NaN and +-Infinity
-        if isinstance(value, float) and not math.isfinite(value):
+        # json.load accepts NaN and +-Infinity, and integers beyond float
+        # range, for which isfinite raises OverflowError
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ConfigError(f"{section}.{key} must be finite")
     try:
         return cls(**data)

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import (LossConfig, PARAM_ORDER, _dice_loss_grad, _discriminative_flat,
-                      discriminative_loss, forward_full, init_params,
-                      total_loss_and_grad)
+from .network import (LossConfig, PARAM_ORDER, discriminative_loss, forward_full,
+                      init_params, total_loss, total_loss_and_grad)
 
 DEFAULT_STEP = 1e-3
 DEFAULT_TOL = 1e-4
@@ -108,17 +107,10 @@ def check_discriminative(seed: int, n_points: int = 40, dim: int = 3,
     return worst
 
 
-def _loss_value(params, image, seg_target, labels, cfg) -> float:
-    _, emb, cache = forward_full(params, image)
-    dice, _ = _dice_loss_grad(cache["seg_prob"], seg_target.astype(np.float64))
-    fg = labels > 0
-    disc = _discriminative_flat(emb[fg], labels[fg], cfg)[0] if fg.any() else 0.0
-    return cfg.w_dice * dice + cfg.w_disc * disc
-
-
 def check_total(params, image, labels, cfg: LossConfig | None = None,
                 step: float = DEFAULT_STEP) -> float:
-    """Max relative FD error of total_loss_and_grad over every parameter entry."""
+    """Max relative FD error of total_loss_and_grad's gradients against
+    central differences of total_loss, over every parameter entry."""
     cfg = cfg or LossConfig()
     seg_target = labels > 0
     _, grads, _ = total_loss_and_grad(params, image, seg_target, labels, cfg)
@@ -130,9 +122,9 @@ def check_total(params, image, labels, cfg: LossConfig | None = None,
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi = _loss_value(params, image, seg_target, labels, cfg)
+            hi, _ = total_loss(params, image, seg_target, labels, cfg)
             flat[i] = orig - step
-            lo = _loss_value(params, image, seg_target, labels, cfg)
+            lo, _ = total_loss(params, image, seg_target, labels, cfg)
             flat[i] = orig
             worst = max(worst, rel_err(g_flat[i], (hi - lo) / (2 * step)))
     return worst

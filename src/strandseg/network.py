@@ -17,6 +17,12 @@ with [x]+ = max(x, 0), C the number of instances present, and the distance
 sum running over ordered pairs. Gradients are exact, including the paths
 through the cluster means.
 
+The training objective is w_dice * Dice + w_disc * discriminative, written
+once: `total_loss` gives its value and its parts, and `total_loss_and_grad`
+is the same computation followed by `backward`. Training validation and the
+finite-difference check call `total_loss`, so they run no backward pass and
+compute no parameter gradients.
+
 Everything is float64 numpy; parameters are a plain dict of arrays.
 Outputs are bit-identical across reruns on one machine, numpy build and BLAS
 kernel; across BLAS kernels they agree only to rounding (about 1e-16).
@@ -302,14 +308,8 @@ def _discriminative_flat(vectors, ids, cfg: LossConfig):
     return loss, grad
 
 
-def total_loss_and_grad(params: dict, image: np.ndarray, seg_target: np.ndarray,
-                        instance_labels: np.ndarray, cfg: LossConfig):
-    """Full training objective and its exact parameter gradients.
-
-    seg_target (binary) and instance_labels (0 = background) live at head
-    resolution, i.e. half the image dims. Returns (loss, grads, parts) with
-    parts = {"dice": ..., "disc": ...} for logging.
-    """
+def _objective(params, image, seg_target, instance_labels, cfg: LossConfig):
+    """Forward pass and weighted loss; returns (loss, parts, cache, d_dice, d_disc)."""
     seg_prob, emb, cache = forward_full(params, image)
     seg_target = np.asarray(seg_target)
     instance_labels = np.asarray(instance_labels)
@@ -321,5 +321,28 @@ def total_loss_and_grad(params: dict, image: np.ndarray, seg_target: np.ndarray,
     dice, d_dice = _dice_loss_grad(seg_prob, seg_target.astype(np.float64))
     disc, d_disc = discriminative_loss(emb, instance_labels, cfg)
     loss = cfg.w_dice * dice + cfg.w_disc * disc
+    return loss, {"dice": dice, "disc": disc}, cache, d_dice, d_disc
+
+
+def total_loss(params: dict, image: np.ndarray, seg_target: np.ndarray,
+               instance_labels: np.ndarray, cfg: LossConfig):
+    """The training objective's value, without the backward pass.
+
+    seg_target (binary) and instance_labels (0 = background) live at head
+    resolution, i.e. half the image dims. Returns (loss, parts) with
+    parts = {"dice": ..., "disc": ...} for logging.
+    """
+    loss, parts, *_ = _objective(params, image, seg_target, instance_labels, cfg)
+    return loss, parts
+
+
+def total_loss_and_grad(params: dict, image: np.ndarray, seg_target: np.ndarray,
+                        instance_labels: np.ndarray, cfg: LossConfig):
+    """`total_loss` plus its exact parameter gradients.
+
+    Returns (loss, grads, parts); loss and parts equal `total_loss`'s.
+    """
+    loss, parts, cache, d_dice, d_disc = _objective(params, image, seg_target,
+                                                    instance_labels, cfg)
     grads = backward(params, cache, cfg.w_dice * d_dice, cfg.w_disc * d_disc)
-    return loss, grads, {"dice": dice, "disc": disc}
+    return loss, grads, parts

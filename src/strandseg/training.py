@@ -4,8 +4,10 @@ Each epoch reshuffles the training scenes, re-randomizes which instance
 claims each crossing pixel (so intersection pixels alternate between their
 owners across epochs), optionally augments, and steps the optimizer once
 per batch. Validation runs unaugmented with per-sample fixed label draws so
-epoch-to-epoch val losses are comparable. The parameters returned are those
-of the epoch with the lowest validation loss.
+epoch-to-epoch val losses are comparable; it evaluates the objective with
+`total_loss`, which runs no backward pass, so validation computes no
+parameter gradients. The parameters returned are those of the epoch with the
+lowest validation loss.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import AugmentParams, augment
-from .network import LossConfig, init_params, total_loss_and_grad
+from .network import LossConfig, init_params, total_loss, total_loss_and_grad
 from .optim import DivergenceError, OptimConfig, adamw_step, init_adam_state
 from .synth import Scene, make_training_labels
 
@@ -50,14 +52,14 @@ def downsample_labels(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sample_loss_and_grad(params, scene: Scene, label_seed: int, loss_cfg,
-                          augment_params=None, augment_seed: int = 0):
+def _sample_inputs(scene: Scene, label_seed: int, augment_params=None, augment_seed: int = 0):
+    """(image, seg_target, labels_half): one scene as the objective takes it."""
     image, instances = scene.image, scene.instances
     if augment_params is not None:
         image, instances = augment(image, instances, augment_params, augment_seed)
     labels = make_training_labels(instances, np.random.default_rng(label_seed))
     labels_half = downsample_labels(labels)
-    return total_loss_and_grad(params, image, labels_half > 0, labels_half, loss_cfg)
+    return image, labels_half > 0, labels_half
 
 
 def train(train_scenes, val_scenes, loss_cfg: LossConfig, optim_cfg: OptimConfig,
@@ -89,11 +91,10 @@ def train(train_scenes, val_scenes, loss_cfg: LossConfig, optim_cfg: OptimConfig
             batch_loss = 0.0
             batch_grads = None
             for j, idx in enumerate(batch):
-                loss, grads, _ = _sample_loss_and_grad(
-                    params, train_scenes[idx],
-                    label_seed=int(seeds[start + j, 0]), loss_cfg=loss_cfg,
-                    augment_params=augment_params,
-                    augment_seed=int(seeds[start + j, 1]))
+                inputs = _sample_inputs(train_scenes[idx], label_seed=int(seeds[start + j, 0]),
+                                        augment_params=augment_params,
+                                        augment_seed=int(seeds[start + j, 1]))
+                loss, grads, _ = total_loss_and_grad(params, *inputs, loss_cfg)
                 batch_loss += loss
                 if batch_grads is None:
                     batch_grads = grads
@@ -111,8 +112,8 @@ def train(train_scenes, val_scenes, loss_cfg: LossConfig, optim_cfg: OptimConfig
 
         val_loss = 0.0
         for j, scene in enumerate(val_scenes):
-            loss, _, _ = _sample_loss_and_grad(
-                params, scene, label_seed=int(val_label_seeds[j]), loss_cfg=loss_cfg)
+            loss, _ = total_loss(params, *_sample_inputs(scene, int(val_label_seeds[j])),
+                                 loss_cfg)
             val_loss += loss
         val_loss /= len(val_scenes)
         if not np.isfinite(val_loss):

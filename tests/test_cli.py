@@ -258,7 +258,11 @@ def test_non_finite_override_exits_2(infer_args, flag, value, capsys):
     ('{"resolve": {"beta": Infinity}}', "resolve.beta"),
     ('{"augment": {"rotation_degrees": Infinity}}', "augment.rotation_degrees"),
     ('{"optim": {"learning_rate": -Infinity}}', "optim.learning_rate"),
-], ids=["bandwidth-NaN", "beta-Infinity", "rotation_degrees-Infinity", "learning_rate--Infinity"])
+    # integers beyond float range: float() raises OverflowError on them
+    ('{"mean_shift": {"bandwidth": 1%s}}' % ("0" * 400), "mean_shift.bandwidth"),
+    ('{"mean_shift": {"seed_cap": 1%s}}' % ("0" * 400), "mean_shift.seed_cap"),
+], ids=["bandwidth-NaN", "beta-Infinity", "rotation_degrees-Infinity", "learning_rate--Infinity",
+        "bandwidth-401-digits", "seed_cap-401-digits"])
 def test_non_finite_config_value_exits_2(tmp_path, infer_args, text, key, capsys):
     # json.load accepts these literals; the config loader must not
     path = tmp_path / "nonfinite.json"

@@ -9,7 +9,7 @@ import strandseg.gradcheck as gc
 from strandseg.network import (LossConfig, PARAM_ORDER, _discriminative_flat,
                                dice_loss, discriminative_loss, forward,
                                forward_full, init_params, param_shapes,
-                               total_loss_and_grad, validate_params)
+                               total_loss, total_loss_and_grad, validate_params)
 
 
 def test_param_shapes_and_init_determinism():
@@ -253,6 +253,28 @@ def test_total_loss_weight_zeroing():
     _, emb, _ = forward_full(params, image)
     disc_direct, _ = discriminative_loss(emb, labels, cfg)
     assert parts["disc"] == pytest.approx(disc_direct)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_total_loss_equals_total_loss_and_grad(seed):
+    params, image, labels = gc.make_fixture(seed)
+    cfg = LossConfig()
+    loss, parts = total_loss(params, image, labels > 0, labels, cfg)
+    loss_g, _, parts_g = total_loss_and_grad(params, image, labels > 0, labels, cfg)
+    assert loss == loss_g
+    assert parts == parts_g
+
+
+@pytest.mark.parametrize("which", ["seg_target", "labels"])
+def test_total_loss_shape_checks_match(which):
+    params, image, labels = gc.make_fixture(0)
+    seg_target, bad = labels > 0, labels[:-1]
+    args = (bad > 0, labels) if which == "seg_target" else (seg_target, bad)
+    match = "seg_target" if which == "seg_target" else "instance_labels"
+    with pytest.raises(ValueError, match=match):
+        total_loss(params, image, *args, LossConfig())
+    with pytest.raises(ValueError, match=match):
+        total_loss_and_grad(params, image, *args, LossConfig())
 
 
 def test_total_loss_decreases_under_optimization():

@@ -1,0 +1,56 @@
+"""The names the benchmark's tracer patches must exist in the program.
+
+perfbench/tracer.py wraps functions by (module, name); if a refactor drops
+or renames one, every traced benchmark run breaks. These tests load the
+benchmark modules by path, without changing them.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(monkeypatch, name):
+    """Execute perfbench/<name>.py as module `name`, registered until the test ends."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture()
+def tracer(monkeypatch):
+    return _load(monkeypatch, "tracer")
+
+
+def test_every_span_resolves(tracer):
+    for module_name, attr, *_ in tracer.SPANS:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_install_then_uninstall_restores_originals(tracer):
+    originals = [(module_name, attr, getattr(importlib.import_module(module_name), attr))
+                 for module_name, attr, *_ in tracer.SPANS]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        patched = [getattr(importlib.import_module(m), a) for m, a, _ in originals]
+        assert all(p is not o for p, (_, _, o) in zip(patched, originals))
+    finally:
+        t.uninstall()
+    for module_name, attr, original in originals:
+        assert getattr(importlib.import_module(module_name), attr) is original
+
+
+def test_workloads_import(monkeypatch):
+    # workloads.py imports its sibling `desk` by plain name
+    _load(monkeypatch, "desk")
+    workloads = _load(monkeypatch, "workloads")
+    assert {"Train64", "Eval64", "Gradcheck16"} <= set(vars(workloads))

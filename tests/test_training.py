@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import strandseg.network
 from strandseg.grids import AugmentParams
 from strandseg.network import LossConfig, init_params
 from strandseg.optim import OptimConfig
@@ -69,6 +70,22 @@ def test_training_is_deterministic():
     assert one.best_epoch == two.best_epoch
     for k in one.params:
         np.testing.assert_array_equal(one.params[k], two.params[k])
+
+
+def test_validation_runs_no_backward(monkeypatch):
+    calls = []
+    backward = strandseg.network.backward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(strandseg.network, "backward", counting)
+    scenes = _scenes(7, 4)
+    train(scenes[:3], scenes[3:], LossConfig(), OptimConfig(epochs=2, batch_size=2),
+          None, rng_seed=0)
+    # one backward per training sample and epoch (3 x 2); none for validation
+    assert len(calls) == 6
 
 
 def test_training_seed_changes_trajectory():
