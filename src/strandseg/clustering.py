@@ -110,14 +110,23 @@ def augment_coordinates(emb: np.ndarray, fg_mask: np.ndarray,
 
 @dataclass
 class ClusterModel:
-    """K cluster centers plus the nearest-center assignment of every pixel."""
+    """K cluster centers plus the distance from every pixel to each of them.
+
+    `distances` is computed once, by `mean_shift`, and read by everything
+    downstream: the nearest-center assignment and the crossing scores.
+    """
 
     centers: np.ndarray  # (K, 5)
-    assignment: np.ndarray  # (N,) ints in [0, K)
+    distances: np.ndarray  # (N, K) center_distances(vectors, centers)
 
     @property
     def k(self) -> int:
         return len(self.centers)
+
+    @property
+    def assignment(self) -> np.ndarray:
+        """(N,) index of each pixel's nearest center."""
+        return self.distances.argmin(axis=1)
 
 
 def _windows(points: np.ndarray, queries: np.ndarray, cfg: MeanShiftConfig) -> np.ndarray:
@@ -193,8 +202,7 @@ def mean_shift(fe: ForegroundEmbeddings, cfg: MeanShiftConfig) -> ClusterModel:
     # Re-converge so every returned center is itself a fixed point of the update.
     centers = _converge(points, np.asarray(centroids), cfg)
 
-    assignment = center_distances(points, centers).argmin(axis=1)
-    return ClusterModel(centers=centers, assignment=assignment)
+    return ClusterModel(centers=centers, distances=center_distances(points, centers))
 
 
 def center_distances(vectors: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 
 from .clustering import MeanShiftConfig
@@ -69,6 +70,7 @@ def _build_section(cls, data, section):
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown key(s) in {section!r}: {sorted(unknown)}")
+    types = typing.get_type_hints(cls)
     for key, value in data.items():
         if not isinstance(value, (bool, int, float)):
             raise ConfigError(f"{section}.{key} must be a number or boolean")
@@ -80,6 +82,8 @@ def _build_section(cls, data, section):
             finite = False
         if not finite:
             raise ConfigError(f"{section}.{key} must be finite")
+        if types[key] is int and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"{section}.{key} must be an integer")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:

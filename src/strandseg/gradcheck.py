@@ -135,8 +135,10 @@ def run_suite(seed: int = 0, fixtures: int = 10, step: float = DEFAULT_STEP,
     """The full check: `fixtures` random 16x16 fixtures, all parameters.
 
     Returns {"max_rel_err_disc", "max_rel_err_total", "fixtures", "tol",
-    "passed"}.
+    "passed"}. Raises ValueError when `fixtures` < 1, which would check nothing.
     """
+    if fixtures < 1:
+        raise ValueError("fixtures must be >= 1")
     cfg = LossConfig()
     worst_disc = 0.0
     worst_total = 0.0

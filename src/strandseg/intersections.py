@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusterModel, ForegroundEmbeddings, center_distances
+from .clustering import ClusterModel, ForegroundEmbeddings
 from .synth import InstanceSet
 
 
@@ -74,10 +74,10 @@ def resolve_pixel(embedding: np.ndarray, centers: np.ndarray, cfg: ResolveConfig
     return owners
 
 
-def _scores(fe: ForegroundEmbeddings, cm: ClusterModel, beta: float):
+def _scores(cm: ClusterModel, beta: float):
     """(N, K) score of every center against each pixel's nearest, and the nearest index."""
-    d = center_distances(fe.vectors, cm.centers)
-    nearest = d.argmin(axis=1)
+    d = cm.distances
+    nearest = cm.assignment
     d1 = d[np.arange(len(d)), nearest]
     return 1.0 / (1.0 + np.exp(-beta * (d - d1[:, None]))), nearest
 
@@ -91,7 +91,7 @@ def min_similarity(fe: ForegroundEmbeddings, cm: ClusterModel, cfg: ResolveConfi
     out = np.ones((fe.height, fe.width))
     if len(fe) == 0 or cm.k == 1:
         return out
-    scores, nearest = _scores(fe, cm, cfg.beta)
+    scores, nearest = _scores(cm, cfg.beta)
     # the nearest cluster scores exactly 0.5 against itself; ignore it
     scores[np.arange(len(scores)), nearest] = np.inf
     out[fe.pixels[:, 0], fe.pixels[:, 1]] = scores.min(axis=1)
@@ -109,7 +109,7 @@ def build_instances(fe: ForegroundEmbeddings, cm: ClusterModel,
     masks = [np.zeros((fe.height, fe.width), dtype=bool) for _ in range(cm.k)]
     if len(fe) == 0:
         return InstanceSet(fe.height, fe.width, [])
-    scores, nearest = _scores(fe, cm, cfg.beta)
+    scores, nearest = _scores(cm, cfg.beta)
     member = scores < cfg.threshold_a
     member[np.arange(len(member)), nearest] = True
     rows, cols = fe.pixels[:, 0], fe.pixels[:, 1]

@@ -48,34 +48,44 @@ def mask_dice(a, b) -> float:
     return 2.0 * int((a & b).sum()) / total
 
 
-def greedy_match_counts(pred: InstanceSet, gt: InstanceSet, threshold: float):
-    """(tp, fp, fn) under greedy descending-IoU one-to-one matching at IoU >= threshold."""
+def greedy_match_counts(pred: InstanceSet, gt: InstanceSet, thresholds) -> list:
+    """(tp, fp, fn) at each IoU threshold, under greedy descending-IoU one-to-one matching.
+
+    The greedy order does not depend on the threshold, and whether a pair is
+    accepted depends only on the pairs ranked before it. So one full pass
+    serves every threshold: TP(t) counts the accepted pairs with IoU >= t,
+    exactly the pairs a pass that stops at the first IoU below t accepts.
+    """
     if (pred.height, pred.width) != (gt.height, gt.width):
         raise ValueError("pred and gt dimensions differ")
     n_pred, n_gt = len(pred), len(gt)
     if n_pred == 0 or n_gt == 0:
-        return 0, n_pred, n_gt
-    iou = np.empty((n_pred, n_gt))
-    for i, pm in enumerate(pred.masks):
-        for j, gm in enumerate(gt.masks):
-            iou[i, j] = mask_iou(pm, gm)
+        return [(0, n_pred, n_gt) for _ in thresholds]
+    p = np.stack(pred.masks).reshape(n_pred, -1)
+    g = np.stack(gt.masks).reshape(n_gt, -1)
+    # Exact integer counts, so inter / union rounds as mask_iou's int / int does.
+    inter = p.astype(np.int64) @ g.T.astype(np.int64)
+    union = p.sum(axis=1)[:, None] + g.sum(axis=1)[None, :] - inter
+    iou = np.divide(inter, union, out=np.ones((n_pred, n_gt)), where=union > 0)
     # Descending IoU; ties broken on mask content so the counts cannot
     # depend on the order instances happen to be listed in.
-    pkeys = [np.ascontiguousarray(m).tobytes() for m in pred.masks]
-    gkeys = [np.ascontiguousarray(m).tobytes() for m in gt.masks]
+    pkeys = [row.tobytes() for row in p]
+    gkeys = [row.tobytes() for row in g]
     order = sorted(((i, j) for i in range(n_pred) for j in range(n_gt)),
                    key=lambda ij: (-iou[ij], pkeys[ij[0]], gkeys[ij[1]]))
     pred_used = [False] * n_pred
     gt_used = [False] * n_gt
-    tp = 0
+    accepted = []  # IoU of each accepted pair
     for i, j in order:
-        if iou[i, j] < threshold:
-            break
         if not pred_used[i] and not gt_used[j]:
             pred_used[i] = True
             gt_used[j] = True
-            tp += 1
-    return tp, n_pred - tp, n_gt - tp
+            accepted.append(iou[i, j])
+    counts = []
+    for t in thresholds:
+        tp = sum(1 for v in accepted if v >= t)
+        counts.append((tp, n_pred - tp, n_gt - tp))
+    return counts
 
 
 def _precision(tp, fp, n_gt):
@@ -93,8 +103,7 @@ def _recall(tp, fn, n_pred):
 def instance_ap_ar(pred: InstanceSet, gt: InstanceSet, thresholds=THRESHOLDS) -> dict:
     """Single-image AP/AR sweep; returns per-threshold rows plus the means."""
     rows = []
-    for t in thresholds:
-        tp, fp, fn = greedy_match_counts(pred, gt, t)
+    for t, (tp, fp, fn) in zip(thresholds, greedy_match_counts(pred, gt, thresholds)):
         rows.append({"t": t, "ap": _precision(tp, fp, len(gt)),
                      "ar": _recall(tp, fn, len(pred)),
                      "tp": tp, "fp": fp, "fn": fn})

@@ -153,6 +153,13 @@ def test_gradcheck_subcommand(capsys):
     assert "gradient check passed" in out
 
 
+@pytest.mark.parametrize("fixtures", ["0", "-3"])
+def test_gradcheck_without_fixtures_exits_2(fixtures, capsys):
+    # zero fixtures would check nothing and report a pass
+    assert main(["gradcheck", "--fixtures", fixtures]) == 2
+    assert "gradient check passed" not in capsys.readouterr().out
+
+
 def test_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -269,3 +276,26 @@ def test_non_finite_config_value_exits_2(tmp_path, infer_args, text, key, capsys
     path.write_text(text)
     assert main(infer_args + ["--config", str(path)]) == 2
     assert f"{key} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("infer", '{"mean_shift": {"seed_cap": 1.5}}', "mean_shift.seed_cap"),
+    ("infer", '{"mean_shift": {"max_iterations": 2.5}}', "mean_shift.max_iterations"),
+    ("train", '{"optim": {"epochs": 1.5}}', "optim.epochs"),
+    ("synth", '{"scene": {"height": 64.5}}', "scene.height"),
+], ids=["seed_cap-1.5", "max_iterations-2.5", "epochs-1.5", "height-64.5"])
+def test_non_integer_config_value_exits_2(tmp_path, cfg_path, infer_args, command, text, key,
+                                          capsys):
+    if command == "infer":
+        args = infer_args
+    elif command == "train":
+        data = str(tmp_path / "data")
+        _synth(cfg_path, data, count=2)
+        args = ["train", "--dataset", data, "--out", str(tmp_path / "run")]
+    else:
+        args = ["synth", "--count", "1", "--out", str(tmp_path / "synth")]
+    path = tmp_path / "fractional.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(args + ["--config", str(path)]) == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err

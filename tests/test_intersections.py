@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strandseg.clustering import ClusterModel, ForegroundEmbeddings
+from strandseg.clustering import ClusterModel, ForegroundEmbeddings, center_distances
 from strandseg.intersections import (ResolveConfig, build_instances,
                                      min_similarity, resolve_pixel,
                                      similarity_scores)
@@ -60,40 +60,34 @@ def test_similarity_in_half_open_interval():
 # --- per-pixel resolution -------------------------------------------------
 
 
-def _model(*centers):
-    c = np.asarray(centers, dtype=float)
-    return ClusterModel(centers=c, assignment=np.zeros(0, dtype=int))
-
-
 def test_resolve_single_cluster_is_nearest_only():
-    model = _model([0, 0, 0, 0, 0])
-    got = resolve_pixel(np.array([5.0, 0, 0, 0, 0]), model.centers,
-                        ResolveConfig())
+    centers = np.array([[0.0, 0, 0, 0, 0]])
+    got = resolve_pixel(np.array([5.0, 0, 0, 0, 0]), centers, ResolveConfig())
     assert got == {0}
 
 
 def test_resolve_midpoint_claims_both():
-    model = _model([0, 0, 0, 0, 0], [3.0, 0, 0, 0, 0])
-    got = resolve_pixel(np.array([1.5, 0, 0, 0, 0]), model.centers,
+    centers = np.array([[0.0, 0, 0, 0, 0], [3.0, 0, 0, 0, 0]])
+    got = resolve_pixel(np.array([1.5, 0, 0, 0, 0]), centers,
                         ResolveConfig(beta=2.0, threshold_a=0.7))
     assert got == {0, 1}
 
 
 def test_resolve_clear_pixel_single_owner():
     # gap 3.0 - 0.0 far above the ~0.42 cutoff: only the nearest claims it
-    model = _model([0, 0, 0, 0, 0], [3.0, 0, 0, 0, 0])
-    got = resolve_pixel(np.array([0.0, 0, 0, 0, 0]), model.centers,
+    centers = np.array([[0, 0, 0, 0, 0], [3.0, 0, 0, 0, 0]], dtype=float)
+    got = resolve_pixel(np.array([0.0, 0, 0, 0, 0]), centers,
                         ResolveConfig())
     assert got == {0}
 
 
 def test_resolve_monotone_in_threshold():
     # raising a admits more co-owners, never fewer
-    model = _model([0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0], [2.0, 0, 0, 0, 0])
+    centers = np.array([[0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0], [2.0, 0, 0, 0, 0]], dtype=float)
     pixel = np.array([0.3, 0, 0, 0, 0])
     sizes = []
     for a in (0.55, 0.7, 0.85, 0.99):
-        got = resolve_pixel(pixel, model.centers,
+        got = resolve_pixel(pixel, centers,
                             ResolveConfig(beta=2.0, threshold_a=a))
         sizes.append(len(got))
         assert 0 in got  # nearest always included
@@ -101,11 +95,11 @@ def test_resolve_monotone_in_threshold():
 
 
 def test_resolve_constant_shift_invariance():
-    model = _model([0, 0, 0, 0, 0], [1.2, 0, 0, 0, 0])
+    centers = np.array([[0, 0, 0, 0, 0], [1.2, 0, 0, 0, 0]], dtype=float)
     pixel = np.array([0.5, 0, 0, 0, 0])
-    base = resolve_pixel(pixel, model.centers, ResolveConfig())
+    base = resolve_pixel(pixel, centers, ResolveConfig())
     shift = np.full(5, 7.25)
-    moved = resolve_pixel(pixel + shift, model.centers + shift, ResolveConfig())
+    moved = resolve_pixel(pixel + shift, centers + shift, ResolveConfig())
     assert moved == base
 
 
@@ -121,6 +115,12 @@ def test_resolve_config_validation():
 # --- whole-frame assembly ---------------------------------------------------
 
 
+def _model(fe, centers):
+    """The ClusterModel mean_shift would return for these centers."""
+    centers = np.asarray(centers, dtype=float)
+    return ClusterModel(centers=centers, distances=center_distances(fe.vectors, centers))
+
+
 def _frame_fixture():
     """4x4 frame, two clusters; pixel (1,1) exactly between them."""
     h = w = 4
@@ -132,10 +132,7 @@ def _frame_fixture():
     vectors[3, 0] = 3.0
     vectors[4, 0] = 3.0
     fe = ForegroundEmbeddings(pixels=pixels, vectors=vectors, height=h, width=w)
-    model = ClusterModel(centers=np.array([[0.0, 0, 0, 0, 0],
-                                           [3.0, 0, 0, 0, 0]]),
-                         assignment=np.array([0, 0, 0, 1, 1]))
-    return fe, model
+    return fe, _model(fe, [[0.0, 0, 0, 0, 0], [3.0, 0, 0, 0, 0]])
 
 
 def test_build_instances_oracle():
@@ -163,6 +160,7 @@ def test_build_instances_tight_threshold_no_sharing():
     # not once the allowed gap shrinks below it
     fe, model = _frame_fixture()
     fe.vectors[2, 0] = 1.4  # distances 1.4 vs 1.6
+    model = _model(fe, model.centers)
     shared = build_instances(fe, model, ResolveConfig())
     assert shared.overlap()[1, 1]
     tight = build_instances(fe, model, ResolveConfig(threshold_a=0.501))
@@ -186,7 +184,7 @@ def test_min_similarity_single_cluster_all_one():
     pixels = np.array([[0, 0], [1, 1]])
     vectors = np.zeros((2, 5))
     fe = ForegroundEmbeddings(pixels=pixels, vectors=vectors, height=2, width=2)
-    model = ClusterModel(centers=np.zeros((1, 5)), assignment=np.zeros(2, int))
+    model = _model(fe, np.zeros((1, 5)))
     sim = min_similarity(fe, model, ResolveConfig())
     assert np.all(sim == 1.0)
 
@@ -206,7 +204,7 @@ def test_overlap_matches_min_similarity(k):
     for p in range(0, n, 3):
         vectors[p] = (centers[p % k] + centers[(p + 1) % k]) / 2
     fe = ForegroundEmbeddings(pixels=pixels, vectors=vectors, height=h, width=w)
-    model = ClusterModel(centers=centers, assignment=np.zeros(n, dtype=int))
+    model = _model(fe, centers)
     fg = np.zeros((h, w), dtype=bool)
     fg[pixels[:, 0], pixels[:, 1]] = True
     for a in (0.55, 0.7, 0.9):

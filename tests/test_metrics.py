@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from strandseg import metrics
 from strandseg.metrics import (THRESHOLDS, connected_components,
                                evaluate_dataset, greedy_match_counts,
                                instance_ap_ar, mask_dice, mask_iou)
@@ -66,7 +67,7 @@ def test_threshold_grid():
 
 def test_greedy_match_perfect():
     gt = _iset(_rect((6, 6), 0, 2, 0, 6), _rect((6, 6), 4, 6, 0, 6))
-    assert greedy_match_counts(gt, gt, 0.5) == (2, 0, 0)
+    assert greedy_match_counts(gt, gt, [0.5]) == [(2, 0, 0)]
 
 
 def test_greedy_match_is_one_to_one():
@@ -74,7 +75,7 @@ def test_greedy_match_is_one_to_one():
     big = _rect((6, 6), 0, 6, 0, 6)
     gt = _iset(_rect((6, 6), 0, 3, 0, 6), _rect((6, 6), 3, 6, 0, 6))
     pred = _iset(big)
-    tp, fp, fn = greedy_match_counts(pred, gt, 0.2)
+    [(tp, fp, fn)] = greedy_match_counts(pred, gt, [0.2])
     assert (tp, fp, fn) == (1, 0, 1)
 
 
@@ -83,25 +84,37 @@ def test_greedy_match_prefers_higher_iou():
     close = _rect((6, 6), 0, 4, 0, 3)  # iou 12/16
     loose = _rect((6, 6), 0, 4, 0, 2)  # iou 8/16
     pred = _iset(loose, close)
-    tp, fp, fn = greedy_match_counts(pred, _iset(gt_mask), 0.5)
+    [(tp, fp, fn)] = greedy_match_counts(pred, _iset(gt_mask), [0.5])
     assert (tp, fp, fn) == (1, 1, 0)
     # and the loose one would have matched on its own
-    assert greedy_match_counts(_iset(loose), _iset(gt_mask), 0.5) == (1, 0, 0)
+    assert greedy_match_counts(_iset(loose), _iset(gt_mask), [0.5]) == [(1, 0, 0)]
 
 
 def test_greedy_match_threshold_inclusive():
     a = _rect((6, 6), 0, 1, 0, 4)
     b = _rect((6, 6), 0, 1, 0, 2)  # iou exactly 0.5
     assert mask_iou(a, b) == 0.5
-    assert greedy_match_counts(_iset(b), _iset(a), 0.5) == (1, 0, 0)
-    assert greedy_match_counts(_iset(b), _iset(a), 0.51) == (0, 1, 1)
+    assert greedy_match_counts(_iset(b), _iset(a), [0.5]) == [(1, 0, 0)]
+    assert greedy_match_counts(_iset(b), _iset(a), [0.51]) == [(0, 1, 1)]
+
+
+def test_greedy_match_tie_break_decides_count():
+    # A ties with both truths at IoU 1/3 and B overlaps only X (IoU 1/4).
+    # Ranking A-Y first, as the mask-content tie-break does, leaves X free
+    # for B; pairing A-X first, as listing order would, loses B's match.
+    shape = (8, 8)
+    a, b = _rect(shape, 2, 6, 0, 8), _rect(shape, 0, 1, 0, 8)
+    x, y = _rect(shape, 0, 4, 0, 8), _rect(shape, 4, 8, 0, 8)
+    pred = _iset(a, b, shape=shape)
+    for gt in (_iset(x, y, shape=shape), _iset(y, x, shape=shape)):
+        assert greedy_match_counts(pred, gt, [0.2, 0.3]) == [(2, 0, 0), (1, 1, 1)]
 
 
 def test_empty_set_conventions():
     empty = _iset()
     gt = _iset(_rect((6, 6), 0, 2, 0, 2))
-    assert greedy_match_counts(empty, gt, 0.5) == (0, 0, 1)
-    assert greedy_match_counts(gt, empty, 0.5) == (0, 1, 0)
+    assert greedy_match_counts(empty, gt, [0.5]) == [(0, 0, 1)]
+    assert greedy_match_counts(gt, empty, [0.5]) == [(0, 1, 0)]
     scores = instance_ap_ar(empty, gt)
     assert scores["ap"] == 0.0  # nothing predicted, objects missed
     scores = instance_ap_ar(empty, empty)
@@ -139,10 +152,73 @@ def test_matching_permutation_invariance(seed):
     rng = np.random.default_rng(seed)
     masks = [rng.random((6, 6)) > 0.55 for _ in range(4)]
     gt = _iset(*(rng.random((6, 6)) > 0.55 for _ in range(3)))
-    base = greedy_match_counts(_iset(*masks), gt, 0.3)
+    base = greedy_match_counts(_iset(*masks), gt, [0.3])
     perm = rng.permutation(4)
-    shuffled = greedy_match_counts(_iset(*(masks[i] for i in perm)), gt, 0.3)
+    shuffled = greedy_match_counts(_iset(*(masks[i] for i in perm)), gt, [0.3])
     assert base == shuffled
+
+
+def _reference_counts(pred, gt, threshold):
+    """The matching run once per threshold: rank every pair by IoU (ties on
+    mask bytes), accept a free pair, stop at the first IoU below threshold."""
+    n_pred, n_gt = len(pred), len(gt)
+    if n_pred == 0 or n_gt == 0:
+        return 0, n_pred, n_gt
+    iou = {(i, j): mask_iou(p, g) for i, p in enumerate(pred.masks)
+           for j, g in enumerate(gt.masks)}
+    order = sorted(iou, key=lambda ij: (-iou[ij], pred.masks[ij[0]].tobytes(),
+                                        gt.masks[ij[1]].tobytes()))
+    pred_used, gt_used = set(), set()
+    for i, j in order:
+        if iou[i, j] < threshold:
+            break
+        if i not in pred_used and j not in gt_used:
+            pred_used.add(i)
+            gt_used.add(j)
+    tp = len(pred_used)
+    return tp, n_pred - tp, n_gt - tp
+
+
+def _rect8(corners):
+    r0, r1, c0, c1 = corners
+    return _rect((8, 8), min(r0, r1), max(r0, r1), min(c0, c1), max(c0, c1))
+
+
+# Rectangles with even corners give empty masks, duplicates and many IoU
+# ties, so the tie-break decides some counts; random bits give irregular
+# overlaps.
+_MASKS8 = st.one_of(
+    st.tuples(*[st.sampled_from((0, 2, 4, 6, 8))] * 4).map(_rect8),
+    st.lists(st.booleans(), min_size=64, max_size=64).map(lambda b: np.reshape(b, (8, 8))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_pass_counts_equal_per_threshold_matching(data):
+    gt = data.draw(st.lists(_MASKS8, max_size=4), label="gt")
+    # predictions may repeat a true mask, and so each other, exactly
+    pool = st.one_of(_MASKS8, st.sampled_from(gt)) if gt else _MASKS8
+    pred = data.draw(st.lists(pool, max_size=4), label="pred")
+    extra = data.draw(st.lists(st.floats(0.0, 1.0), max_size=3), label="extra thresholds")
+    thresholds = [0.0, *THRESHOLDS, 1.0, *extra]
+    pred_set, gt_set = _iset(*pred, shape=(8, 8)), _iset(*gt, shape=(8, 8))
+    want = [_reference_counts(pred_set, gt_set, t) for t in thresholds]
+    assert greedy_match_counts(pred_set, gt_set, thresholds) == want
+
+
+def test_ap_sweep_matches_once(monkeypatch):
+    calls = []
+    original = metrics.greedy_match_counts
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(metrics, "greedy_match_counts", counted)
+    a = _rect((6, 6), 0, 1, 0, 4)
+    instance_ap_ar(_iset(_rect((6, 6), 0, 1, 0, 2)), _iset(a))
+    assert len(calls) == 1
 
 
 # --- dataset aggregation ------------------------------------------------------

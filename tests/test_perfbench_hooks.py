@@ -10,7 +10,11 @@ import importlib.util
 import pathlib
 import sys
 
+import numpy as np
 import pytest
+
+from strandseg import metrics, pipeline
+from strandseg.synth import SceneSpec, generate_scene
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,3 +58,34 @@ def test_workloads_import(monkeypatch):
     _load(monkeypatch, "desk")
     workloads = _load(monkeypatch, "workloads")
     assert {"Train64", "Eval64", "Gradcheck16"} <= set(vars(workloads))
+
+
+def test_traced_run_matches_untraced(monkeypatch, tracer):
+    # Name resolution alone misses a hook that no longer fits the call it
+    # wraps; run the program under the tracer and compare.
+    _load(monkeypatch, "desk")
+    workloads = _load(monkeypatch, "workloads")
+    truth = generate_scene(SceneSpec(), 1).instances
+    seg_prob, emb = workloads.oracle_maps(truth, np.random.default_rng(0))
+    cfg = workloads.run_config_from_dict(workloads.DESK_CONFIG).pipeline_config()
+
+    def run():
+        instances, fg, diag = pipeline.instances_from_maps(seg_prob, emb, cfg)
+        return instances, fg, diag, metrics.instance_ap_ar(instances, truth)
+
+    want = run()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        got = run()
+    finally:
+        t.uninstall()
+    (want_inst, want_fg, want_diag, want_ap), (inst, fg, diag, ap) = want, got
+    assert [m.tobytes() for m in inst.masks] == [m.tobytes() for m in want_inst.masks]
+    assert fg.tobytes() == want_fg.tobytes()
+    assert diag.min_similarity.tobytes() == want_diag.min_similarity.tobytes()
+    assert diag.centers.tobytes() == want_diag.centers.tobytes()
+    assert ap == want_ap
+    assert t.counters["clustering.clusters"] == diag.clusters >= 2
+    assert t.counters["pipeline.fg_pixels"] == diag.fg_pixels > 0
+    assert t.calls["metrics.greedy_match_counts"] == 1

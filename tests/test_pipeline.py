@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from strandseg import clustering, intersections
 from strandseg.clustering import MeanShiftConfig
 from strandseg.intersections import ResolveConfig
 from strandseg.network import init_params, param_shapes
@@ -65,6 +66,24 @@ def test_crossing_pixels_double_assigned_and_counted():
     overlap = inst.overlap()
     assert overlap[3, 7] and overlap[4, 7]
     assert overlap.sum() == 2
+
+
+def test_center_distances_computed_once(monkeypatch):
+    # mean shift owns the pixel-to-center distances; the crossing scores
+    # of build_instances and min_similarity read them from the ClusterModel
+    calls = []
+    original = clustering.center_distances
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(clustering, "center_distances", counted)
+    monkeypatch.setattr(intersections, "center_distances", counted, raising=False)
+    seg, emb, _, _ = _oracle_maps()
+    _, _, diag = instances_from_maps(seg, emb, _cfg())
+    assert diag.clusters == 2
+    assert len(calls) == 1
 
 
 def test_empty_foreground_is_not_an_error():
