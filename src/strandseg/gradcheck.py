@@ -4,17 +4,18 @@ Central differences approximate well only where the objective is smooth, so
 fixtures are rejection-sampled until every hinge argument in the
 discriminative loss sits a safe margin away from its kink (the hinge-squared
 is C1 but its curvature jump still pollutes the FD estimate within a step of
-the boundary). Relative error uses the customary floored denominator
-|a - n| / max(1, |a|, |n|) so near-zero gradient entries are compared
-absolutely.
+the boundary). The screen reads the loss's own hinge arguments from
+`network.cluster_stats`, so it cannot drift from what the loss computes.
+Relative error uses the customary floored denominator |a - n| /
+max(1, |a|, |n|) so near-zero gradient entries are compared absolutely.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .network import (LossConfig, PARAM_ORDER, discriminative_loss, forward_full,
-                      init_params, total_loss, total_loss_and_grad)
+from .network import (LossConfig, PARAM_ORDER, cluster_stats, discriminative_loss,
+                      forward_full, init_params, total_loss, total_loss_and_grad)
 
 DEFAULT_STEP = 1e-3
 DEFAULT_TOL = 1e-4
@@ -28,19 +29,12 @@ def rel_err(analytic, numeric) -> float:
 
 
 def _hinge_margins_ok(vectors, ids, cfg: LossConfig, margin: float) -> bool:
-    """True when no hinge argument is within `margin` of its boundary."""
-    unique = np.unique(ids)
-    means = np.stack([vectors[ids == u].mean(axis=0) for u in unique])
-    for k, u in enumerate(unique):
-        dist = np.linalg.norm(vectors[ids == u] - means[k], axis=1)
-        if (np.abs(dist - cfg.delta_v) < margin).any():
-            return False
-    for i in range(len(unique)):
-        for j in range(i + 1, len(unique)):
-            d = np.linalg.norm(means[i] - means[j])
-            if abs(d - cfg.delta_d) < margin or d < margin:
-                return False
-    return True
+    """True when no hinge argument is within `margin` of its boundary and no
+    two cluster means are within `margin` of each other."""
+    s = cluster_stats(vectors, ids)
+    pair_dist = s.mean_dist[~np.eye(len(s.sizes), dtype=bool)]
+    near = np.concatenate([s.dist - cfg.delta_v, pair_dist - cfg.delta_d, pair_dist])
+    return not (np.abs(near) < margin).any()
 
 
 def make_fixture(seed: int, size: int = 16, cfg: LossConfig | None = None,

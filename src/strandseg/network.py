@@ -3,7 +3,8 @@
 Architecture: a 3-layer, 16-channel convolutional trunk (3x3 kernels, tanh,
 one stride-2 stage) feeding two 1x1 heads — a segmentation head squashed
 through a logistic, and a linear 3-d embedding head. Outputs live at half
-the input resolution; inference upsamples them back.
+the input resolution; inference upsamples them back. Each convolution is one
+matmul of its window matrix with the kernel reshaped to (9C, O).
 
 Losses: Dice on the segmentation probabilities, and a two-term
 discriminative loss on the embeddings. The variance term pulls each
@@ -15,7 +16,8 @@ distance term pushes instance means apart until they are delta_d apart:
 
 with [x]+ = max(x, 0), C the number of instances present, and the distance
 sum running over ordered pairs. Gradients are exact, including the paths
-through the cluster means.
+through the cluster means. Both terms are computed from `cluster_stats`,
+which gradcheck's hinge-margin screen also reads.
 
 The training objective is w_dice * Dice + w_disc * discriminative, written
 once: `total_loss` gives its value and its parts, and `total_loss_and_grad`
@@ -31,6 +33,7 @@ kernel; across BLAS kernels they agree only to rounding (about 1e-16).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -94,28 +97,30 @@ def validate_params(params: dict, channels: int = TRUNK_CHANNELS, emb_dim: int =
 
 
 def _conv_windows(x, stride):
+    """(H_out*W_out, 9*C) window matrix of a zero-padded 3x3 convolution,
+    columns in (i, j, c) order to match `w.reshape(9*C, O)`."""
     padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    win = sliding_window_view(padded, (3, 3), axis=(0, 1))
-    return win[::stride, ::stride]  # (H_out, W_out, C_in, 3, 3)
+    win = sliding_window_view(padded, (3, 3), axis=(0, 1))[::stride, ::stride]
+    return win.transpose(0, 1, 3, 4, 2).reshape(-1, 9 * x.shape[2])
 
 
 def _conv_forward(x, w, b, stride):
-    win = _conv_windows(x, stride)
-    return np.einsum("hwcij,ijco->hwo", win, w, optimize=True) + b
+    out = _conv_windows(x, stride) @ w.reshape(-1, w.shape[3]) + b
+    return out.reshape(-(-x.shape[0] // stride), -1, w.shape[3])
 
 
 def _conv_backward(x, w, stride, g_out):
     """Gradients of a padded 3x3 convolution; returns (g_x, g_w, g_b)."""
-    win = _conv_windows(x, stride)
+    h_out, w_out, o = g_out.shape
+    g = g_out.reshape(-1, o)
     g_b = g_out.sum(axis=(0, 1))
-    g_w = np.einsum("hwcij,hwo->ijco", win, g_out, optimize=True)
-    g_cols = np.einsum("hwo,ijco->hwcij", g_out, w, optimize=True)
-    h_out, w_out = g_out.shape[:2]
+    g_w = (_conv_windows(x, stride).T @ g).reshape(w.shape)
+    g_cols = (g @ w.reshape(-1, o).T).reshape(h_out, w_out, 3, 3, x.shape[2])
     gpad = np.zeros((x.shape[0] + 2, x.shape[1] + 2, x.shape[2]))
     for i in range(3):
         for j in range(3):
             gpad[i : i + stride * h_out : stride,
-                 j : j + stride * w_out : stride] += g_cols[:, :, :, i, j]
+                 j : j + stride * w_out : stride] += g_cols[:, :, i, j]
     return gpad[1:-1, 1:-1, :], g_w, g_b
 
 
@@ -169,10 +174,11 @@ def backward(params: dict, cache: dict, g_seg_prob: np.ndarray, g_emb: np.ndarra
     seg_prob = cache["seg_prob"]
     # Through the logistic: dL/dlogit = dL/dp * p * (1 - p).
     g_logits = (g_seg_prob * seg_prob * (1.0 - seg_prob))[:, :, None]
+    a3_t = a3.reshape(-1, a3.shape[2]).T
     grads = {
-        "seg_w": np.einsum("hwc,hwo->co", a3, g_logits),
+        "seg_w": a3_t @ g_logits.reshape(-1, 1),
         "seg_b": g_logits.sum(axis=(0, 1)),
-        "emb_w": np.einsum("hwc,hwo->co", a3, g_emb),
+        "emb_w": a3_t @ g_emb.reshape(-1, g_emb.shape[2]),
         "emb_b": g_emb.sum(axis=(0, 1)),
     }
     g_a3 = g_logits @ params["seg_w"].T + g_emb @ params["emb_w"].T
@@ -244,68 +250,65 @@ def discriminative_loss(emb: np.ndarray, labels: np.ndarray, cfg: LossConfig):
         raise ValueError(f"labels {labels.shape} must match emb leading dims {emb.shape[:-1]}")
     fg = labels > 0
     grad_field = np.zeros_like(emb)
-    if not fg.any():
-        return 0.0, grad_field
     loss, grad = _discriminative_flat(emb[fg], labels[fg], cfg)
     grad_field[fg] = grad
     return loss, grad_field
 
 
+class ClusterStats(NamedTuple):
+    """N embedding vectors in C clusters, one per distinct id in sorted order."""
+
+    inverse: np.ndarray    # (N,) cluster index of each vector
+    member: np.ndarray     # (C, N) one-hot membership
+    sizes: np.ndarray      # (C,) vectors per cluster
+    offsets: np.ndarray    # (N, D) each vector minus its cluster mean
+    dist: np.ndarray       # (N,) norms of offsets
+    gaps: np.ndarray       # (C, C, D) mean[a] - mean[b]
+    mean_dist: np.ndarray  # (C, C) norms of gaps; the diagonal is exactly 0
+
+
+def cluster_stats(vectors, ids) -> ClusterStats:
+    """The cluster means' offsets and gaps that the discriminative loss's
+    hinges read, for (N, D) vectors with per-vector instance ids."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    unique, inverse = np.unique(ids, return_inverse=True)
+    member = (np.arange(len(unique))[:, None] == inverse).astype(np.float64)
+    sizes = member.sum(axis=1)
+    means = member @ vectors / sizes[:, None]
+    offsets = vectors - means[inverse]
+    gaps = means[:, None, :] - means[None, :, :]
+    return ClusterStats(inverse, member, sizes, offsets, np.linalg.norm(offsets, axis=1),
+                        gaps, np.linalg.norm(gaps, axis=2))
+
+
 def _discriminative_flat(vectors, ids, cfg: LossConfig):
     """(N, D) embedding vectors with per-vector instance ids; returns
-    (loss, (N, D) gradient)."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    ids = np.asarray(ids)
-    n = vectors.shape[0]
-    grad = np.zeros_like(vectors)
-    unique = np.unique(ids)
-    c = len(unique)
-    if n == 0 or c == 0:
-        return 0.0, grad
+    (loss, (N, D) gradient); no vectors give loss 0."""
+    s = cluster_stats(vectors, ids)
+    c = len(s.sizes)
 
-    means = np.empty((c, vectors.shape[1]))
-    members = []
-    for k, uid in enumerate(unique):
-        idx = np.flatnonzero(ids == uid)
-        members.append(idx)
-        means[k] = vectors[idx].mean(axis=0)
+    # Variance (pull) term. hinge > 0 only where dist > delta_v, so flooring
+    # the divisor at delta_v changes no used value and avoids 0/0.
+    hinge = np.maximum(s.dist - cfg.delta_v, 0.0)
+    share = 1.0 / (c * s.sizes[s.inverse])
+    l_var = float(share @ (hinge * hinge))
+    a = (2.0 * hinge / np.maximum(s.dist, cfg.delta_v))[:, None] * s.offsets
+    # d/dx_i of mean_j hinge_j^2 picks up a term from every x_j via mu_c
+    grad = cfg.w_var * share[:, None] * (a - (s.member @ a / s.sizes[:, None])[s.inverse])
 
-    # Variance (pull) term.
-    l_var = 0.0
-    for k, idx in enumerate(members):
-        diff = vectors[idx] - means[k]
-        dist = np.linalg.norm(diff, axis=1)
-        hinge = np.maximum(dist - cfg.delta_v, 0.0)
-        l_var += float((hinge * hinge).mean())
-        # unit vectors, defined as 0 where dist == 0
-        unit = np.zeros_like(diff)
-        nz = dist > 0
-        unit[nz] = diff[nz] / dist[nz, None]
-        a = 2.0 * hinge[:, None] * unit
-        # d/dx_i of mean_j hinge_j^2 picks up a term from every x_j via mu_c
-        grad[idx] += (cfg.w_var / (c * len(idx))) * (a - a.mean(axis=0))
-    l_var /= c
-
-    # Distance (push) term over ordered pairs of cluster means.
+    # Distance (push) term over ordered pairs of cluster means. Coincident
+    # means add loss but have no direction to push along.
     l_dist = 0.0
     if c >= 2:
         norm = c * (c - 1)
-        for ka in range(c):
-            for kb in range(ka + 1, c):
-                delta = means[ka] - means[kb]
-                d = float(np.linalg.norm(delta))
-                hinge = max(cfg.delta_d - d, 0.0)
-                if hinge == 0.0:
-                    continue
-                l_dist += 2.0 * hinge * hinge / norm
-                if d > 0:
-                    # both ordered pairs, then spread over the cluster members
-                    g_mean = (-4.0 * hinge / norm) * (delta / d)
-                    grad[members[ka]] += cfg.w_dist * g_mean / len(members[ka])
-                    grad[members[kb]] -= cfg.w_dist * g_mean / len(members[kb])
+        hinge_d = np.where(np.eye(c, dtype=bool), 0.0, np.maximum(cfg.delta_d - s.mean_dist, 0.0))
+        l_dist = float((hinge_d * hinge_d).sum()) / norm
+        coef = np.divide(-4.0 * hinge_d, norm * s.mean_dist,
+                         out=np.zeros_like(hinge_d), where=s.mean_dist > 0)
+        g_means = (coef[:, :, None] * s.gaps).sum(axis=1) / s.sizes[:, None]
+        grad += cfg.w_dist * g_means[s.inverse]
 
-    loss = cfg.w_var * l_var + cfg.w_dist * l_dist
-    return loss, grad
+    return cfg.w_var * l_var + cfg.w_dist * l_dist, grad
 
 
 def _objective(params, image, seg_target, instance_labels, cfg: LossConfig):

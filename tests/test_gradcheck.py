@@ -24,6 +24,18 @@ def test_hinge_margin_screen():
     assert _hinge_margins_ok(clear, ids, cfg, margin=5e-3)
 
 
+@pytest.mark.parametrize("vectors, ids, ok", [
+    # singleton means exactly delta_d = 3 apart: on the distance hinge
+    ([[0.0, 0, 0], [3.0, 0, 0]], [1, 2], False),
+    # coincident means, each member 0.1 from its mean
+    ([[0.0, 0, 0], [0.2, 0, 0], [0.1, 0, 0]], [1, 1, 2], False),
+    # two clear clusters; a mean's zero distance to itself is no pair
+    ([[0.0, 0, 0], [0.2, 0, 0], [10.0, 0, 0], [10.2, 0, 0]], [1, 1, 2, 2], True),
+], ids=["means-delta_d-apart", "coincident-means", "clear-clusters"])
+def test_hinge_margin_screen_two_clusters(vectors, ids, ok):
+    assert _hinge_margins_ok(np.array(vectors), np.array(ids), LossConfig(), margin=5e-3) is ok
+
+
 def test_make_fixture_properties():
     params, image, labels = make_fixture(0)
     assert image.shape == (16, 16)

@@ -1,15 +1,17 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import strandseg.gradcheck as gc
-from strandseg.network import (LossConfig, PARAM_ORDER, _discriminative_flat,
-                               dice_loss, discriminative_loss, forward,
-                               forward_full, init_params, param_shapes,
-                               total_loss, total_loss_and_grad, validate_params)
+from strandseg.network import (LossConfig, PARAM_ORDER, _conv_backward,
+                               _discriminative_flat, dice_loss,
+                               discriminative_loss, forward, forward_full,
+                               init_params, param_shapes, total_loss,
+                               total_loss_and_grad, validate_params)
 
 
 def test_param_shapes_and_init_determinism():
@@ -95,6 +97,50 @@ def _oracle_forward(params, image):
         seg.append(seg_row)
         emb.append(emb_row)
     return np.array(seg), np.array(emb)
+
+
+def _oracle_conv_backward(x, w, g_out, stride):
+    """(g_x, g_w, g_b) of a zero-padded 3x3 convolution on nested lists,
+    each sum over its explicit loop terms exactly rounded by math.fsum."""
+    height, width, c_in = len(x), len(x[0]), len(x[0][0])
+    c_out = len(g_out[0][0])
+    gx, gw, gb = defaultdict(list), defaultdict(list), defaultdict(list)
+    for oh, g_row in enumerate(g_out):
+        for ow, g in enumerate(g_row):
+            for o in range(c_out):
+                gb[o,].append(g[o])
+                for i in range(3):
+                    for j in range(3):
+                        ih, iw = oh * stride + i - 1, ow * stride + j - 1
+                        if not (0 <= ih < height and 0 <= iw < width):
+                            continue
+                        for c in range(c_in):
+                            gw[i, j, c, o].append(x[ih][iw][c] * g[o])
+                            gx[ih, iw, c].append(w[i][j][c][o] * g[o])
+
+    def fsums(terms, shape):
+        out = np.zeros(shape)
+        for index, t in terms.items():
+            out[index] = math.fsum(t)
+        return out
+
+    return (fsums(gx, (height, width, c_in)), fsums(gw, (3, 3, c_in, c_out)),
+            fsums(gb, (c_out,)))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_backward_matches_loop_oracle(stride):
+    rng = np.random.default_rng(11 + stride)
+    x = rng.normal(size=(6, 6, 2))
+    w = rng.normal(size=(3, 3, 2, 3))
+    g_out = rng.normal(size=(6 // stride, 6 // stride, 3))
+    g_x, g_w, g_b = _conv_backward(x, w, stride, g_out)
+    want_x, want_w, want_b = _oracle_conv_backward(x.tolist(), w.tolist(), g_out.tolist(),
+                                                   stride)
+    assert g_x.shape == x.shape and g_w.shape == w.shape and g_b.shape == (3,)
+    np.testing.assert_allclose(g_x, want_x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(g_w, want_w, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(g_b, want_b, rtol=0, atol=1e-12)
 
 
 def test_forward_deterministic_fixture_hash():
@@ -221,6 +267,88 @@ def test_disc_translation_and_rotation_invariance(seed):
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     rotated, _ = _discriminative_flat(v @ q.T, ids, CFG)
     assert rotated == pytest.approx(base, abs=1e-9)
+
+
+def _reference_discriminative(vectors, ids, cfg: LossConfig):
+    """The loss as loops over clusters and cluster pairs; returns (loss, grad)."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    grad = np.zeros_like(vectors)
+    unique = np.unique(ids)
+    c = len(unique)
+    members = [np.flatnonzero(ids == uid) for uid in unique]
+    means = np.stack([vectors[idx].mean(axis=0) for idx in members])
+
+    l_var = 0.0
+    for k, idx in enumerate(members):
+        diff = vectors[idx] - means[k]
+        dist = np.linalg.norm(diff, axis=1)
+        hinge = np.maximum(dist - cfg.delta_v, 0.0)
+        l_var += float((hinge * hinge).mean())
+        unit = np.zeros_like(diff)
+        nz = dist > 0
+        unit[nz] = diff[nz] / dist[nz, None]
+        a = 2.0 * hinge[:, None] * unit
+        grad[idx] += (cfg.w_var / (c * len(idx))) * (a - a.mean(axis=0))
+    l_var /= c
+
+    l_dist = 0.0
+    norm = c * (c - 1)
+    for ka in range(c):
+        for kb in range(ka + 1, c):
+            delta = means[ka] - means[kb]
+            d = float(np.linalg.norm(delta))
+            hinge = max(cfg.delta_d - d, 0.0)
+            if hinge == 0.0:
+                continue
+            l_dist += 2.0 * hinge * hinge / norm
+            if d > 0:
+                g_mean = (-4.0 * hinge / norm) * (delta / d)
+                grad[members[ka]] += cfg.w_dist * g_mean / len(members[ka])
+                grad[members[kb]] -= cfg.w_dist * g_mean / len(members[kb])
+    return cfg.w_var * l_var + cfg.w_dist * l_dist, grad
+
+
+@st.composite
+def _clustered_vectors(draw):
+    """1-60 vectors in 1-6 instances with non-contiguous ids, some of them
+    single-pixel; cluster spreads from coincident vectors to well apart."""
+    n_inst = draw(st.integers(1, 6))
+    id_values = draw(st.lists(st.integers(1, 40), min_size=n_inst, max_size=n_inst,
+                              unique=True))
+    singles = draw(st.integers(0, n_inst))
+    n = n_inst if singles == n_inst else draw(st.integers(n_inst, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = np.array(id_values + list(rng.choice(id_values[singles:], size=n - n_inst)))
+    rng.shuffle(ids)
+    centers = rng.normal(size=(41, 3)) * draw(st.sampled_from([0.5, 2.0, 5.0]))
+    vectors = centers[ids] + rng.normal(size=(n, 3)) * draw(st.sampled_from([0.0, 0.2, 1.0]))
+    return vectors, ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clustered_vectors())
+def test_disc_matches_loop_reference(case):
+    vectors, ids = case
+    unique = np.unique(ids)
+    means = np.stack([vectors[ids == u].mean(axis=0) for u in unique])
+    gaps = np.linalg.norm(means[:, None] - means[None], axis=2)
+    # within ~1e-6 the push direction is rounding noise in either version
+    assume(len(unique) < 2 or gaps[~np.eye(len(unique), dtype=bool)].min() > 1e-6)
+    loss, grad = _discriminative_flat(vectors, ids, CFG)
+    want_loss, want_grad = _reference_discriminative(vectors, ids, CFG)
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+
+
+def test_disc_coincident_means_push_loss_without_direction():
+    # both means at (1, 0, 0): the push hinge is delta_d on both ordered pairs
+    v = np.array([[0.0, 0, 0], [2.0, 0, 0], [1.0, 0, 0]])
+    with np.errstate(divide="raise", invalid="raise"):
+        loss, grad = _discriminative_flat(v, np.array([1, 1, 2]), CFG)
+    # pull 0.25 / C over 2 clusters, push 2 * 3^2 / (C (C - 1))
+    assert loss == pytest.approx(0.125 + 9.0, abs=1e-12)
+    pull_only = np.array([[-0.25, 0, 0], [0.25, 0, 0], [0.0, 0, 0]])
+    np.testing.assert_allclose(grad, pull_only, rtol=0, atol=1e-15)
 
 
 def test_loss_config_validation():
