@@ -218,6 +218,10 @@ def cmd_infer(args) -> int:
                   {"min_similarity": diag.min_similarity.astype(np.float32)})
     _write_json(os.path.join(args.out, "diagnostics.json"), diag.to_dict())
     write_ppm(os.path.join(args.out, "overlay.ppm"), render_overlay(image, instances))
+    if diag.mean_shift.hit_max_iterations:
+        print(f"warning: mean shift stopped at max_iterations "
+              f"({pipe.mean_shift.max_iterations}) with starts still moving; "
+              f"clusters may be unreliable", file=sys.stderr)
     print(f"{len(instances)} instance(s), {diag.multi_assigned_pixels} "
           f"multi-assigned pixel(s); outputs in {args.out}")
     return 0

@@ -109,19 +109,29 @@ def _conv_forward(x, w, b, stride):
     return out.reshape(-(-x.shape[0] // stride), -1, w.shape[3])
 
 
-def _conv_backward(x, w, stride, g_out):
-    """Gradients of a padded 3x3 convolution; returns (g_x, g_w, g_b)."""
+def _conv_param_grads(x, w, stride, g_out):
+    """Kernel and bias gradients of a padded 3x3 convolution; returns (g_w, g_b)."""
+    g = g_out.reshape(-1, g_out.shape[2])
+    return (_conv_windows(x, stride).T @ g).reshape(w.shape), g_out.sum(axis=(0, 1))
+
+
+def _conv_input_grad(x, w, stride, g_out):
+    """Gradient of a padded 3x3 convolution with respect to its input x."""
     h_out, w_out, o = g_out.shape
-    g = g_out.reshape(-1, o)
-    g_b = g_out.sum(axis=(0, 1))
-    g_w = (_conv_windows(x, stride).T @ g).reshape(w.shape)
-    g_cols = (g @ w.reshape(-1, o).T).reshape(h_out, w_out, 3, 3, x.shape[2])
+    g_cols = (g_out.reshape(-1, o) @ w.reshape(-1, o).T).reshape(h_out, w_out, 3, 3, x.shape[2])
     gpad = np.zeros((x.shape[0] + 2, x.shape[1] + 2, x.shape[2]))
     for i in range(3):
         for j in range(3):
             gpad[i : i + stride * h_out : stride,
                  j : j + stride * w_out : stride] += g_cols[:, :, i, j]
-    return gpad[1:-1, 1:-1, :], g_w, g_b
+    return gpad[1:-1, 1:-1, :]
+
+
+def _conv_backward(x, w, stride, g_out):
+    """Gradients of a padded 3x3 convolution; returns (g_x, g_w, g_b)."""
+    # In this order: with g_x formed first, the pair took twice as long at 64 px.
+    g_w, g_b = _conv_param_grads(x, w, stride, g_out)
+    return _conv_input_grad(x, w, stride, g_out), g_w, g_b
 
 
 def _sigmoid(z):
@@ -189,7 +199,8 @@ def backward(params: dict, cache: dict, g_seg_prob: np.ndarray, g_emb: np.ndarra
     g_a1, grads["conv2_w"], grads["conv2_b"] = _conv_backward(
         cache["a1"], params["conv2_w"], 2, g_z2)
     g_z1 = g_a1 * (1.0 - cache["a1"] ** 2)
-    _, grads["conv1_w"], grads["conv1_b"] = _conv_backward(
+    # Nothing reads the gradient with respect to the input image.
+    grads["conv1_w"], grads["conv1_b"] = _conv_param_grads(
         cache["x0"], params["conv1_w"], 1, g_z1)
     return grads
 

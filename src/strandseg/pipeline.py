@@ -8,11 +8,11 @@ through clustering and intersection resolution without a trained network.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .clustering import MeanShiftConfig, augment_coordinates, mean_shift
+from .clustering import MeanShiftConfig, MeanShiftCounters, augment_coordinates, mean_shift
 from .grids import upsample_bilinear
 from .intersections import ResolveConfig, build_instances, min_similarity
 from .metrics import connected_components
@@ -38,6 +38,7 @@ class Diagnostics:
     multi_assigned_pixels: int = 0
     min_similarity: np.ndarray | None = None
     centers: np.ndarray | None = None
+    mean_shift: MeanShiftCounters = field(default_factory=MeanShiftCounters)
     timings_ms: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -45,6 +46,7 @@ class Diagnostics:
             "clusters": self.clusters,
             "fg_pixels": self.fg_pixels,
             "multi_assigned_pixels": self.multi_assigned_pixels,
+            "mean_shift": asdict(self.mean_shift),
             "timings_ms": {k: float(v) for k, v in self.timings_ms.items()},
         }
         if self.centers is not None:
@@ -80,6 +82,7 @@ def instances_from_maps(seg_prob: np.ndarray, emb: np.ndarray,
 
     diag.clusters = cm.k
     diag.centers = cm.centers
+    diag.mean_shift = cm.counters
     diag.multi_assigned_pixels = int(instances.overlap().sum())
     diag.min_similarity = min_similarity(fe, cm, cfg.resolve)
     diag.timings_ms["cluster"] = (t1 - t0) * 1e3

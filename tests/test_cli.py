@@ -251,6 +251,20 @@ def infer_args(tmp_path):
             "--out", str(tmp_path / "out")]
 
 
+def test_infer_warns_when_mean_shift_hits_iteration_cap(tmp_path, infer_args, capsys):
+    assert main(infer_args) == 0
+    assert "warning" not in capsys.readouterr().err
+    diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    assert diag["mean_shift"]["hit_max_iterations"] is False
+    path = tmp_path / "capped.json"
+    path.write_text('{"mean_shift": {"max_iterations": 1}}')
+    assert main(infer_args + ["--config", str(path)]) == 0
+    assert "warning: mean shift stopped at max_iterations (1)" in capsys.readouterr().err
+    diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    assert diag["mean_shift"]["hit_max_iterations"] is True
+    assert diag["mean_shift"]["iterations"][0] == 1
+
+
 @pytest.mark.parametrize("flag,value", [("--bandwidth", "nan"), ("--bandwidth", "inf"),
                                         ("--beta", "nan")])
 def test_non_finite_override_exits_2(infer_args, flag, value, capsys):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strandseg.clustering import (ForegroundEmbeddings, MeanShiftConfig,
-                                  augment_coordinates, mean_shift)
+from strandseg import clustering
+from strandseg.clustering import (ForegroundEmbeddings, MeanShiftConfig, MeanShiftCounters,
+                                  _converge, augment_coordinates, mean_shift)
 
 
 def adjusted_rand_index(a, b):
@@ -253,26 +254,118 @@ def _reference_mean_shift(points, cfg):
     return centers, d.argmin(axis=1)
 
 
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("seed_cap,merge_radius", [(4096, 0.375), (48, 0.375),
-                                                   (4096, 1.6), (48, 1.6)])
-def test_matches_scalar_reference(seed, seed_cap, merge_radius):
-    # a chain of 2-4 blobs 1-2.5 apart (so merge_radius 1.6 joins some) with
-    # enough scatter for several modes per blob, plus 10 stray points
-    rng = np.random.default_rng(100 + seed)
+def _blob_chain(rng):
+    """A chain of 2-4 blobs 1-2.5 apart (so merge_radius 1.6 joins some) with
+    enough scatter for several modes per blob, the blob index of each point,
+    and 10 stray points (index -1) after them."""
     steps = rng.normal(size=(int(rng.integers(2, 5)), 5))
     steps *= rng.uniform(1.0, 2.5, size=(len(steps), 1)) / np.linalg.norm(steps, axis=1,
                                                                         keepdims=True)
-    vectors, _ = _blobs(rng, np.cumsum(steps, axis=0), per=int(rng.integers(25, 40)),
-                        spread=0.3)
-    vectors = np.concatenate([vectors, rng.uniform(vectors.min(axis=0), vectors.max(axis=0),
-                                                   size=(10, 5))])
-    cfg = MeanShiftConfig(seed_cap=seed_cap, merge_radius=merge_radius, rng_seed=seed)
+    vectors, labels = _blobs(rng, np.cumsum(steps, axis=0), per=int(rng.integers(25, 40)),
+                             spread=0.3)
+    strays = rng.uniform(vectors.min(axis=0), vectors.max(axis=0), size=(10, 5))
+    return np.concatenate([vectors, strays]), np.concatenate([labels, np.full(10, -1)])
+
+
+def _assert_matches_reference(vectors, cfg):
     want_centers, want_assignment = _reference_mean_shift(vectors, cfg)
     got = mean_shift(_fe_from_vectors(vectors), cfg)
     assert got.k == len(want_centers)
     np.testing.assert_array_equal(got.assignment, want_assignment)
     np.testing.assert_allclose(got.centers, want_centers, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed_cap,merge_radius", [(4096, 0.375), (48, 0.375),
+                                                   (4096, 1.6), (48, 1.6)])
+def test_matches_scalar_reference(seed, seed_cap, merge_radius):
+    vectors, _ = _blob_chain(np.random.default_rng(100 + seed))
+    cfg = MeanShiftConfig(seed_cap=seed_cap, merge_radius=merge_radius, rng_seed=seed)
+    _assert_matches_reference(vectors, cfg)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("layout", ["repeated", "collapsed"])
+@pytest.mark.parametrize("seed_cap,merge_radius", [(4096, 0.375), (48, 1.6)])
+def test_matches_scalar_reference_with_duplicate_points(seed, layout, seed_cap, merge_radius):
+    # many bitwise-equal points, so starts share windows from the first step:
+    # "repeated" copies every point 1-4 times, "collapsed" moves each blob's
+    # points onto the nearest of 3 of them; the result is shuffled
+    rng = np.random.default_rng(200 + seed)
+    vectors, labels = _blob_chain(rng)
+    if layout == "repeated":
+        vectors = np.repeat(vectors, rng.integers(1, 5, size=len(vectors)), axis=0)
+    else:
+        for blob in np.unique(labels[labels >= 0]):
+            idx = np.flatnonzero(labels == blob)
+            anchors = vectors[rng.choice(idx, size=3, replace=False)]
+            near = np.linalg.norm(vectors[idx, None] - anchors[None], axis=2).argmin(axis=1)
+            vectors[idx] = anchors[near]
+    vectors = vectors[rng.permutation(len(vectors))]
+    assert len(np.unique(vectors, axis=0)) < 0.7 * len(vectors)
+    cfg = MeanShiftConfig(seed_cap=seed_cap, merge_radius=merge_radius, rng_seed=seed)
+    _assert_matches_reference(vectors, cfg)
+
+
+def test_empty_window_starts_keep_their_bits():
+    # -0.0 and 0.0 are equal in value but not in bits: each empty-window start
+    # must come back with its own sign bit, not its twin's
+    starts = np.array([[-0.0, 0, 0, 0, 0], [0.0, 0, 0, 0, 0],
+                       [-0.0, 0, 0, 0, 0], [0.0, 0, 0, 0, 0]])
+    counters = MeanShiftCounters()
+    modes = _converge(np.array([[5.0, 0, 0, 0, 0]]), starts, MeanShiftConfig(bandwidth=0.5),
+                      counters)
+    assert modes.tobytes() == starts.tobytes()
+    assert np.signbit(modes[:, 0]).tolist() == [True, False, True, False]
+    assert (counters.rows, counters.distinct_rows) == (4, 2)
+
+
+def test_window_blocks_stay_within_budget(monkeypatch):
+    rng = np.random.default_rng(11)
+    vectors, _ = _blobs(rng, [np.zeros(5), np.r_[3.0, 0, 0, 0, 0]], per=60, spread=0.3)
+    fe = _fe_from_vectors(vectors)
+    cfg = MeanShiftConfig(seed_cap=4096)
+    want = mean_shift(fe, cfg)
+
+    n = len(vectors)
+    budget = 40 * n * 8  # 40 query rows per block
+    shapes = []
+    windows = clustering._windows
+
+    def recording(points, queries, cfg):
+        shapes.append(queries.shape[:1] + points.shape[:1])
+        return windows(points, queries, cfg)
+
+    monkeypatch.setattr(clustering, "WINDOW_BLOCK_BYTES", budget)
+    monkeypatch.setattr(clustering, "_windows", recording)
+    got = mean_shift(fe, cfg)
+    # the first step evaluates all 120 distinct seeds, in three blocks
+    assert shapes[:3] == [(40, n)] * 3
+    assert all(q * m * 8 <= budget for q, m in shapes)
+    assert got.counters.max_block_bytes == budget
+    assert want.counters.max_block_bytes == n * n * 8
+    # Equal to the bit at this size. With thousands of points, a row's sums
+    # can differ in the last bit with the row count of its BLAS call.
+    assert got.centers.tobytes() == want.centers.tobytes()
+    assert got.distances.tobytes() == want.distances.tobytes()
+    assert ((got.counters.iterations, got.counters.rows, got.counters.distinct_rows)
+            == (want.counters.iterations, want.counters.rows, want.counters.distinct_rows))
+
+
+def test_counters_record_the_work():
+    rng = np.random.default_rng(12)
+    vectors, _ = _blobs(rng, [np.zeros(5), np.r_[3.0, 0, 0, 0, 0]], per=40)
+    fe = _fe_from_vectors(vectors)
+    done = mean_shift(fe, MeanShiftConfig(seed_cap=4096)).counters
+    assert len(done.iterations) == 2  # the seeds, then the merged centroids
+    assert not done.hit_max_iterations
+    assert done.iterations[0] > 1
+    assert done.distinct_rows < done.rows
+    assert done == mean_shift(fe, MeanShiftConfig(seed_cap=4096)).counters
+
+    capped = mean_shift(fe, MeanShiftConfig(seed_cap=4096, max_iterations=1)).counters
+    assert capped.hit_max_iterations
+    assert capped.iterations[0] == 1
 
 
 def test_seed_cap_subsampling_still_finds_blobs():

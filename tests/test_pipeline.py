@@ -118,6 +118,11 @@ def test_infer_shapes_and_determinism():
     assert a_diag.clusters == b_diag.clusters
     assert set(a_diag.timings_ms) == {"forward", "upsample", "cluster",
                                       "resolve"}
+    # the mean-shift counters are deterministic, unlike the timings
+    counters = a_diag.to_dict()["mean_shift"]
+    assert counters == b_diag.to_dict()["mean_shift"]
+    assert len(counters["iterations"]) == 2
+    assert 0 < counters["distinct_rows"] <= counters["rows"]
 
 
 def test_semantic_mask_identical_between_methods():
