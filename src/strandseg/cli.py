@@ -222,6 +222,9 @@ def cmd_infer(args) -> int:
         print(f"warning: mean shift stopped at max_iterations "
               f"({pipe.mean_shift.max_iterations}) with starts still moving; "
               f"clusters may be unreliable", file=sys.stderr)
+    if diag.fg_pixels >= 2 and diag.clusters == diag.fg_pixels:
+        print(f"warning: each of the {diag.fg_pixels} foreground pixels is its own cluster; "
+              f"the checkpoint's embeddings may be degenerate", file=sys.stderr)
     print(f"{len(instances)} instance(s), {diag.multi_assigned_pixels} "
           f"multi-assigned pixel(s); outputs in {args.out}")
     return 0

@@ -141,8 +141,10 @@ class MeanShiftCounters:
 class ClusterModel:
     """K cluster centers plus the distance from every pixel to each of them.
 
-    `distances` is computed once, by `mean_shift`, and read by everything
-    downstream: the nearest-center assignment and the crossing scores.
+    `distances` is computed once, by `mean_shift`. `assignment` reads it, and
+    so does `intersections.crossing_scores`, whose (N, K) matrix
+    `pipeline.instances_from_maps` hands to both `build_instances` and
+    `min_similarity`.
     """
 
     centers: np.ndarray  # (K, 5)

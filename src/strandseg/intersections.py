@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusterModel, ForegroundEmbeddings
+from .clustering import ForegroundEmbeddings
 from .synth import InstanceSet
 
 
@@ -38,11 +38,18 @@ class ResolveConfig:
             raise ValueError("threshold_a must lie in (0.5, 1)")
 
 
-def similarity_scores(distances: np.ndarray, beta: float) -> np.ndarray:
-    """Scores s_2..s_n for an ascending-sorted distance vector d_1..d_n.
+def crossing_scores(distances: np.ndarray, beta: float) -> np.ndarray:
+    """(N, K) score s_i of every center against each row's nearest center.
 
-    Evaluated in the overflow-safe logistic form 1/(1 + exp(-beta*(d_i - d_1))).
+    Evaluated in the overflow-safe logistic form 1/(1 + exp(-beta*(d_i - d_1)));
+    the nearest center scores exactly 0.5.
     """
+    nearest = distances.min(axis=1, keepdims=True)
+    return 1.0 / (1.0 + np.exp(-beta * (distances - nearest)))
+
+
+def similarity_scores(distances: np.ndarray, beta: float) -> np.ndarray:
+    """Scores s_2..s_n for an ascending-sorted distance vector d_1..d_n."""
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 1 or len(d) < 2:
         raise ValueError("need at least two sorted distances")
@@ -50,8 +57,7 @@ def similarity_scores(distances: np.ndarray, beta: float) -> np.ndarray:
         raise ValueError("distances must be nonnegative")
     if (np.diff(d) < 0).any():
         raise ValueError("distances must be sorted ascending")
-    gaps = d[1:] - d[0]
-    return 1.0 / (1.0 + np.exp(-beta * gaps))
+    return crossing_scores(d[None, :], beta)[0, 1:]
 
 
 def resolve_pixel(embedding: np.ndarray, centers: np.ndarray, cfg: ResolveConfig) -> set:
@@ -64,55 +70,41 @@ def resolve_pixel(embedding: np.ndarray, centers: np.ndarray, cfg: ResolveConfig
     if centers.ndim != 2 or len(centers) < 1:
         raise ValueError("need at least one cluster center")
     d = np.linalg.norm(centers - np.asarray(embedding, dtype=np.float64), axis=1)
-    nearest = int(d.argmin())
-    if len(centers) == 1:
-        return {nearest}
-    owners = {nearest}
-    scores = 1.0 / (1.0 + np.exp(-cfg.beta * (d - d[nearest])))
-    for i in np.flatnonzero(scores < cfg.threshold_a):
-        owners.add(int(i))
+    owners = {int(d.argmin())}
+    scores = crossing_scores(d[None, :], cfg.beta)[0]
+    owners.update(int(i) for i in np.flatnonzero(scores < cfg.threshold_a))
     return owners
 
 
-def _scores(cm: ClusterModel, beta: float):
-    """(N, K) score of every center against each pixel's nearest, and the nearest index."""
-    d = cm.distances
-    nearest = cm.assignment
-    d1 = d[np.arange(len(d)), nearest]
-    return 1.0 / (1.0 + np.exp(-beta * (d - d1[:, None]))), nearest
+def min_similarity(fe: ForegroundEmbeddings, scores: np.ndarray) -> np.ndarray:
+    """(H, W) map of each foreground pixel's lowest non-nearest score; 1.0 elsewhere.
 
-
-def min_similarity(fe: ForegroundEmbeddings, cm: ClusterModel, cfg: ResolveConfig) -> np.ndarray:
-    """Per-foreground-pixel min_i s_i, as an (H, W) map (1.0 off-foreground).
-
-    Low values flag intersection candidates; useful for visualization and
-    exported alongside instance masks.
+    `scores` is the (N, K) `crossing_scores` matrix. The nearest center's 0.5
+    is each row's smallest entry, so the map takes the second-smallest; it is
+    all 1.0 when K = 1. Low values flag intersection candidates.
     """
     out = np.ones((fe.height, fe.width))
-    if len(fe) == 0 or cm.k == 1:
+    if len(fe) == 0 or scores.shape[1] == 1:
         return out
-    scores, nearest = _scores(cm, cfg.beta)
-    # the nearest cluster scores exactly 0.5 against itself; ignore it
-    scores[np.arange(len(scores)), nearest] = np.inf
-    out[fe.pixels[:, 0], fe.pixels[:, 1]] = scores.min(axis=1)
+    out[fe.pixels[:, 0], fe.pixels[:, 1]] = np.partition(scores, 1, axis=1)[:, 1]
     return out
 
 
-def build_instances(fe: ForegroundEmbeddings, cm: ClusterModel,
+def build_instances(fe: ForegroundEmbeddings, scores: np.ndarray,
                     cfg: ResolveConfig) -> InstanceSet:
     """One mask per cluster; crossing pixels may appear in several masks.
 
-    Pixel p joins mask c iff c is in resolve_pixel(p), so the union of all
-    masks is exactly the foreground pixel set and overlaps mark resolved
-    intersections.
+    `scores` is the (N, K) `crossing_scores` matrix. Pixel p joins mask c iff
+    c is in resolve_pixel(p): its nearest center scores 0.5 and ResolveConfig
+    keeps threshold_a > 0.5, so `scores < threshold_a` always holds the
+    nearest. The union of all masks is therefore exactly the foreground pixel
+    set, and overlaps mark resolved intersections.
     """
-    masks = [np.zeros((fe.height, fe.width), dtype=bool) for _ in range(cm.k)]
     if len(fe) == 0:
         return InstanceSet(fe.height, fe.width, [])
-    scores, nearest = _scores(cm, cfg.beta)
     member = scores < cfg.threshold_a
-    member[np.arange(len(member)), nearest] = True
     rows, cols = fe.pixels[:, 0], fe.pixels[:, 1]
-    for c in range(cm.k):
-        masks[c][rows[member[:, c]], cols[member[:, c]]] = True
+    masks = [np.zeros((fe.height, fe.width), dtype=bool) for _ in range(scores.shape[1])]
+    for c, mask in enumerate(masks):
+        mask[rows[member[:, c]], cols[member[:, c]]] = True
     return InstanceSet(fe.height, fe.width, masks)

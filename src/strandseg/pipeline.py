@@ -14,7 +14,7 @@ import numpy as np
 
 from .clustering import MeanShiftConfig, MeanShiftCounters, augment_coordinates, mean_shift
 from .grids import upsample_bilinear
-from .intersections import ResolveConfig, build_instances, min_similarity
+from .intersections import ResolveConfig, build_instances, crossing_scores, min_similarity
 from .metrics import connected_components
 from .network import forward
 from .synth import InstanceSet
@@ -77,14 +77,15 @@ def instances_from_maps(seg_prob: np.ndarray, emb: np.ndarray,
     fe = augment_coordinates(emb, fg, cfg.mean_shift.coord_scale)
     cm = mean_shift(fe, cfg.mean_shift)
     t1 = time.perf_counter()
-    instances = build_instances(fe, cm, cfg.resolve)
+    scores = crossing_scores(cm.distances, cfg.resolve.beta)
+    instances = build_instances(fe, scores, cfg.resolve)
     t2 = time.perf_counter()
 
     diag.clusters = cm.k
     diag.centers = cm.centers
     diag.mean_shift = cm.counters
     diag.multi_assigned_pixels = int(instances.overlap().sum())
-    diag.min_similarity = min_similarity(fe, cm, cfg.resolve)
+    diag.min_similarity = min_similarity(fe, scores)
     diag.timings_ms["cluster"] = (t1 - t0) * 1e3
     diag.timings_ms["resolve"] = (t2 - t1) * 1e3
     return instances, fg, diag

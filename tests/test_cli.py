@@ -265,6 +265,25 @@ def test_infer_warns_when_mean_shift_hits_iteration_cap(tmp_path, infer_args, ca
     assert diag["mean_shift"]["iterations"][0] == 1
 
 
+def test_infer_warns_when_every_pixel_is_its_own_cluster(tmp_path, capsys):
+    # embeddings scaled far beyond the bandwidth leave every pixel alone
+    desk = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "data", "desk64.segt")
+    params = read_tensors(desk)
+    image = tmp_path / "scene.pgm"
+    write_pgm(image, generate_scene(SceneSpec(), 5).image)
+    args = ["--image", str(image), "--out", str(tmp_path / "out")]
+    assert main(["infer", "--checkpoint", desk] + args) == 0
+    assert "warning" not in capsys.readouterr().err
+    params["emb_w"] = params["emb_w"] * np.float32(1e30)
+    scaled = tmp_path / "scaled.segt"
+    write_tensors(scaled, params)
+    assert main(["infer", "--checkpoint", str(scaled)] + args) == 0
+    assert "foreground pixels is its own cluster" in capsys.readouterr().err
+    diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    assert diag["clusters"] == diag["fg_pixels"] >= 2
+
+
 @pytest.mark.parametrize("flag,value", [("--bandwidth", "nan"), ("--bandwidth", "inf"),
                                         ("--beta", "nan")])
 def test_non_finite_override_exits_2(infer_args, flag, value, capsys):

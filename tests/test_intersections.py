@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strandseg.clustering import ClusterModel, ForegroundEmbeddings, center_distances
-from strandseg.intersections import (ResolveConfig, build_instances,
+from strandseg.intersections import (ResolveConfig, build_instances, crossing_scores,
                                      min_similarity, resolve_pixel,
                                      similarity_scores)
 
@@ -121,6 +121,11 @@ def _model(fe, centers):
     return ClusterModel(centers=centers, distances=center_distances(fe.vectors, centers))
 
 
+def _scores(model, cfg):
+    """The score matrix instances_from_maps passes to both consumers."""
+    return crossing_scores(model.distances, cfg.beta)
+
+
 def _frame_fixture():
     """4x4 frame, two clusters; pixel (1,1) exactly between them."""
     h = w = 4
@@ -137,7 +142,7 @@ def _frame_fixture():
 
 def test_build_instances_oracle():
     fe, model = _frame_fixture()
-    inst = build_instances(fe, model, ResolveConfig())
+    inst = build_instances(fe, _scores(model, ResolveConfig()), ResolveConfig())
     assert len(inst) == 2
     a = np.zeros((4, 4), bool)
     a[0, 0] = a[0, 1] = a[1, 1] = True
@@ -149,7 +154,7 @@ def test_build_instances_oracle():
 
 def test_build_instances_union_covers_foreground():
     fe, model = _frame_fixture()
-    inst = build_instances(fe, model, ResolveConfig())
+    inst = build_instances(fe, _scores(model, ResolveConfig()), ResolveConfig())
     fg = np.zeros((4, 4), bool)
     fg[tuple(fe.pixels.T)] = True
     np.testing.assert_array_equal(inst.union(), fg)
@@ -161,16 +166,17 @@ def test_build_instances_tight_threshold_no_sharing():
     fe, model = _frame_fixture()
     fe.vectors[2, 0] = 1.4  # distances 1.4 vs 1.6
     model = _model(fe, model.centers)
-    shared = build_instances(fe, model, ResolveConfig())
+    shared = build_instances(fe, _scores(model, ResolveConfig()), ResolveConfig())
     assert shared.overlap()[1, 1]
-    tight = build_instances(fe, model, ResolveConfig(threshold_a=0.501))
+    cfg = ResolveConfig(threshold_a=0.501)
+    tight = build_instances(fe, _scores(model, cfg), cfg)
     assert not tight.overlap().any()
     np.testing.assert_array_equal(tight.union(), shared.union())
 
 
 def test_min_similarity_map():
     fe, model = _frame_fixture()
-    sim = min_similarity(fe, model, ResolveConfig())
+    sim = min_similarity(fe, _scores(model, ResolveConfig()))
     assert sim.shape == (4, 4)
     # background stays at the no-ambiguity value
     assert sim[3, 3] == 1.0
@@ -185,7 +191,7 @@ def test_min_similarity_single_cluster_all_one():
     vectors = np.zeros((2, 5))
     fe = ForegroundEmbeddings(pixels=pixels, vectors=vectors, height=2, width=2)
     model = _model(fe, np.zeros((1, 5)))
-    sim = min_similarity(fe, model, ResolveConfig())
+    sim = min_similarity(fe, _scores(model, ResolveConfig()))
     assert np.all(sim == 1.0)
 
 
@@ -209,9 +215,38 @@ def test_overlap_matches_min_similarity(k):
     fg[pixels[:, 0], pixels[:, 1]] = True
     for a in (0.55, 0.7, 0.9):
         cfg = ResolveConfig(beta=2.0, threshold_a=a)
-        overlap = build_instances(fe, model, cfg).overlap()
-        sim = min_similarity(fe, model, cfg)
+        scores = _scores(model, cfg)
+        overlap = build_instances(fe, scores, cfg).overlap()
+        sim = min_similarity(fe, scores)
         np.testing.assert_array_equal(overlap[fg], sim[fg] < a)
         assert not overlap[~fg].any()
     if k > 1:
         assert (sim[fg] == 0.5).any() and overlap.any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_build_instances_matches_resolve_pixel(data):
+    # pixel p lies in mask c exactly when c is in resolve_pixel(p), exact
+    # midpoints between centers included
+    k = data.draw(st.integers(1, 4))
+    centers = np.array(data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+                                          min_size=k, max_size=k)), dtype=float)
+    n = data.draw(st.integers(1, 30))
+    vectors = np.array(data.draw(st.lists(st.lists(st.floats(-4.0, 4.0), min_size=5,
+                                                   max_size=5), min_size=n, max_size=n)))
+    for p in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+        vectors[p] = (centers[i] + centers[j]) / 2
+    cfg = ResolveConfig(beta=data.draw(st.floats(0.5, 4.0)),
+                        threshold_a=data.draw(st.floats(0.5, 1.0, exclude_min=True,
+                                                        exclude_max=True)))
+    w = 8
+    pixels = np.stack([np.arange(n) // w, np.arange(n) % w], axis=1)
+    fe = ForegroundEmbeddings(pixels=pixels, vectors=vectors, height=4, width=w)
+    model = _model(fe, centers)
+    inst = build_instances(fe, _scores(model, cfg), cfg)
+    assert len(inst) == k
+    for (r, c), v in zip(pixels, vectors):
+        owners = {m for m in range(k) if inst.masks[m][r, c]}
+        assert owners == resolve_pixel(v, centers, cfg)

@@ -89,3 +89,4 @@ def test_traced_run_matches_untraced(monkeypatch, tracer):
     assert t.counters["clustering.clusters"] == diag.clusters >= 2
     assert t.counters["pipeline.fg_pixels"] == diag.fg_pixels > 0
     assert t.calls["metrics.greedy_match_counts"] == 1
+    assert t.calls["intersections.build_instances"] == t.calls["intersections.min_similarity"] == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from strandseg import clustering, intersections
+from strandseg import clustering, intersections, pipeline
 from strandseg.clustering import MeanShiftConfig
 from strandseg.intersections import ResolveConfig
 from strandseg.network import init_params, param_shapes
@@ -80,6 +80,24 @@ def test_center_distances_computed_once(monkeypatch):
 
     monkeypatch.setattr(clustering, "center_distances", counted)
     monkeypatch.setattr(intersections, "center_distances", counted, raising=False)
+    seg, emb, _, _ = _oracle_maps()
+    _, _, diag = instances_from_maps(seg, emb, _cfg())
+    assert diag.clusters == 2
+    assert len(calls) == 1
+
+
+def test_crossing_scores_computed_once(monkeypatch):
+    # one (N, K) score matrix per image feeds both the masks and the
+    # min-similarity map
+    calls = []
+    original = pipeline.crossing_scores
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, "crossing_scores", counted)
+    monkeypatch.setattr(intersections, "crossing_scores", counted)
     seg, emb, _, _ = _oracle_maps()
     _, _, diag = instances_from_maps(seg, emb, _cfg())
     assert diag.clusters == 2
