@@ -11,7 +11,6 @@ Dataset-level numbers accumulate TP/FP/FN over all images before dividing
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,31 +191,59 @@ def evaluate_dataset(pred_instances, gt_instances, pred_fg, gt_fg,
 def connected_components(fg: np.ndarray) -> InstanceSet:
     """Split a foreground mask into 8-connected components.
 
-    Components are numbered by the raster position of their first-seen
-    pixel, so labeling is deterministic. Empty mask -> empty InstanceSet.
+    Two-pass labeling over horizontal runs (Wu, Otoo & Suzuki, 2009). The
+    first pass finds every row's runs of foreground pixels and joins each run
+    to the runs of the row above that it touches: their column spans overlap
+    once its span is widened by one on each side, so pixels that meet only
+    at a corner connect (8-connectivity). A union-find over the runs merges
+    the joined runs into components. The second pass fills one mask per
+    component. Components are numbered by their first pixel in raster order,
+    so labeling is deterministic. Empty mask -> empty InstanceSet.
     """
     fg = np.asarray(fg, dtype=bool)
     h, w = fg.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    masks = []
-    for r0, c0 in np.argwhere(fg):
-        if labels[r0, c0]:
-            continue
-        comp_id = len(masks) + 1
-        labels[r0, c0] = comp_id
-        queue = deque([(int(r0), int(c0))])
-        pixels = []
-        while queue:
-            r, c = queue.popleft()
-            pixels.append((r, c))
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < h and 0 <= cc < w and fg[rr, cc] and not labels[rr, cc]:
-                        labels[rr, cc] = comp_id
-                        queue.append((rr, cc))
-        mask = np.zeros((h, w), dtype=bool)
-        rows, cols = zip(*pixels)
-        mask[list(rows), list(cols)] = True
-        masks.append(mask)
-    return InstanceSet(h, w, masks)
+    padded = np.zeros((h, w + 2), dtype=np.int8)
+    padded[:, 1:-1] = fg
+    edges = np.diff(padded, axis=1)
+    # Runs in raster order: row, first column, one past the last column.
+    row, start = np.nonzero(edges == 1)
+    end = np.nonzero(edges == -1)[1]
+    # Raster keys with a stride wider than any column, so rows never mix.
+    # Run i touches run j of the row above iff start_j <= end_i and
+    # start_i <= end_j; those j are the runs lo[i] <= j < hi[i].
+    stride = w + 2
+    above = (row - 1) * stride
+    lo = np.searchsorted(row * stride + end, above + start, side="left")
+    hi = np.searchsorted(row * stride + start, above + end, side="right")
+    touching = hi - lo
+    offset = np.repeat(lo - (np.cumsum(touching) - touching), touching)
+    lower = np.repeat(np.arange(len(row)), touching).tolist()
+    upper = (np.arange(len(offset)) + offset).tolist()
+
+    # The root of each set is its lowest run index, so parent[i] <= i and
+    # the root is the component's first run in raster order.
+    parent = list(range(len(row)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(lower, upper):
+        i, j = root(i), root(j)
+        parent[max(i, j)] = min(i, j)
+    # parent[i] < i is labeled before i and lies in i's component.
+    label = []
+    n_comp = 0
+    for i, p in enumerate(parent):
+        if p == i:
+            label.append(n_comp)
+            n_comp += 1
+        else:
+            label.append(label[p])
+
+    pixel_label = np.repeat(np.array(label, dtype=np.intp), end - start)
+    masks = np.zeros((n_comp, h * w), dtype=bool)
+    masks[pixel_label, np.flatnonzero(fg)] = True
+    return InstanceSet(h, w, list(masks.reshape(n_comp, h, w)))

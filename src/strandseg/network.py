@@ -99,9 +99,11 @@ def validate_params(params: dict, channels: int = TRUNK_CHANNELS, emb_dim: int =
 def _conv_windows(x, stride):
     """(H_out*W_out, 9*C) window matrix of a zero-padded 3x3 convolution,
     columns in (i, j, c) order to match `w.reshape(9*C, O)`."""
-    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    h, w, c = x.shape
+    padded = np.zeros((h + 2, w + 2, c), dtype=x.dtype)
+    padded[1:-1, 1:-1] = x
     win = sliding_window_view(padded, (3, 3), axis=(0, 1))[::stride, ::stride]
-    return win.transpose(0, 1, 3, 4, 2).reshape(-1, 9 * x.shape[2])
+    return win.transpose(0, 1, 3, 4, 2).reshape(-1, 9 * c)
 
 
 def _conv_forward(x, w, b, stride):

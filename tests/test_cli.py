@@ -9,6 +9,10 @@ from strandseg.formats import read_pgm, read_ppm, read_tensors, write_pgm, write
 from strandseg.network import PARAM_ORDER, init_params
 from strandseg.synth import SceneSpec, generate_scene
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DESK_CONFIG = os.path.join(ROOT, "configs", "desk64.json")
+DESK_CHECKPOINT = os.path.join(ROOT, "perfbench", "data", "desk64.segt")
+
 CONFIG = {
     "seed": 3,
     "scene": {"height": 32, "width": 32},
@@ -65,6 +69,28 @@ def test_seed_override_changes_data(tmp_path, cfg_path):
     b = json.loads((tmp_path / "d2" / "manifest.json").read_text())
     assert a["seed"] == 3 and b["seed"] == 99
     assert a["scenes"][0]["seed"] != b["scenes"][0]["seed"]
+
+
+def test_eval_reruns_are_byte_identical_on_real_masks(tmp_path):
+    # A trained checkpoint, so that both methods score real, non-empty masks.
+    data = str(tmp_path / "data")
+    _synth(DESK_CONFIG, data)
+    outputs = {}
+    for method in ("cc", "embedding"):
+        runs = []
+        for rerun in range(2):
+            out = str(tmp_path / f"{method}{rerun}")
+            assert main(["eval", "--config", DESK_CONFIG, "--dataset", data,
+                         "--checkpoint", DESK_CHECKPOINT, "--method", method,
+                         "--out", out]) == 0
+            runs.append(_tree_bytes(out))
+        assert runs[0] == runs[1]
+        assert set(runs[0]) == {"report.json", "per_image.json"}
+        outputs[method] = runs[0]
+    cc_rows = json.loads(outputs["cc"]["per_image.json"])
+    assert len(cc_rows) == 6
+    assert all(row["pred_instances"] >= 1 for row in cc_rows)
+    assert json.loads(outputs["embedding"]["report.json"])["ap"] > 0
 
 
 def test_train_eval_infer_render_flow(tmp_path, cfg_path):
@@ -267,13 +293,11 @@ def test_infer_warns_when_mean_shift_hits_iteration_cap(tmp_path, infer_args, ca
 
 def test_infer_warns_when_every_pixel_is_its_own_cluster(tmp_path, capsys):
     # embeddings scaled far beyond the bandwidth leave every pixel alone
-    desk = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "data", "desk64.segt")
-    params = read_tensors(desk)
+    params = read_tensors(DESK_CHECKPOINT)
     image = tmp_path / "scene.pgm"
     write_pgm(image, generate_scene(SceneSpec(), 5).image)
     args = ["--image", str(image), "--out", str(tmp_path / "out")]
-    assert main(["infer", "--checkpoint", desk] + args) == 0
+    assert main(["infer", "--checkpoint", DESK_CHECKPOINT] + args) == 0
     assert "warning" not in capsys.readouterr().err
     params["emb_w"] = params["emb_w"] * np.float32(1e30)
     scaled = tmp_path / "scaled.segt"

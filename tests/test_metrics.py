@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -288,14 +290,42 @@ def test_cc_empty():
     assert len(inst) == 0
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.floats(0.2, 0.8))
-def test_cc_matches_scipy_label(seed, density):
-    fg = np.random.default_rng(seed).random((12, 12)) < density
+def _reference_components(fg):
+    """The per-pixel BFS that `connected_components` replaced: the oracle for
+    exact masks and their order (by each component's first raster pixel)."""
+    fg = np.asarray(fg, dtype=bool)
+    h, w = fg.shape
+    labels = np.zeros((h, w), dtype=np.int32)
+    masks = []
+    for r0, c0 in np.argwhere(fg):
+        if labels[r0, c0]:
+            continue
+        comp_id = len(masks) + 1
+        labels[r0, c0] = comp_id
+        queue = deque([(int(r0), int(c0))])
+        pixels = []
+        while queue:
+            r, c = queue.popleft()
+            pixels.append((r, c))
+            for dr in (-1, 0, 1):
+                for dc in (-1, 0, 1):
+                    rr, cc = r + dr, c + dc
+                    if 0 <= rr < h and 0 <= cc < w and fg[rr, cc] and not labels[rr, cc]:
+                        labels[rr, cc] = comp_id
+                        queue.append((rr, cc))
+        mask = np.zeros((h, w), dtype=bool)
+        rows, cols = zip(*pixels)
+        mask[list(rows), list(cols)] = True
+        masks.append(mask)
+    return masks
+
+
+def _assert_cc_matches_oracles(fg):
     mine = connected_components(fg)
+    assert (mine.height, mine.width) == fg.shape
+    # scipy's 8-connected labeling gives the component sets ...
     ref_labels, ref_n = ndimage.label(fg, structure=np.ones((3, 3), int))
     assert len(mine) == ref_n
-    # each of my components must be exactly one scipy label's support
     seen = set()
     for mask in mine.masks:
         ids = np.unique(ref_labels[mask])
@@ -303,3 +333,56 @@ def test_cc_matches_scipy_label(seed, density):
         np.testing.assert_array_equal(mask, ref_labels == ids[0])
         seen.add(int(ids[0]))
     assert len(seen) == ref_n
+    # ... and the BFS gives the exact masks in their order.
+    reference = _reference_components(fg)
+    assert len(mine.masks) == len(reference)
+    for got, want in zip(mine.masks, reference):
+        assert got.dtype == bool and got.shape == fg.shape
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 24), st.integers(1, 24), st.floats(0.05, 0.95))
+def test_cc_matches_scipy_label(seed, h, w, density):
+    _assert_cc_matches_oracles(np.random.default_rng(seed).random((h, w)) < density)
+
+
+def _comb(h, w):
+    """Teeth on every other column that join only on the last row, and a
+    separate stroke down the right edge. The comb's first pixel comes first
+    in raster order, but its runs are joined last."""
+    fg = np.zeros((h, w), bool)
+    fg[:, : w - 2 : 2] = True
+    fg[-1, : w - 2] = True
+    fg[: h - 2, -1] = True
+    return fg
+
+
+def _borders(h, w):
+    fg = np.zeros((h, w), bool)
+    fg[0, 1] = fg[-1, w - 2] = fg[h // 2, 0] = fg[(h - 1) // 2, -1] = True
+    return fg
+
+
+@pytest.mark.parametrize("fg", [
+    np.eye(7, dtype=bool),                              # staircase down-right
+    np.fliplr(np.eye(6, 9, k=2, dtype=bool)),           # staircase down-left
+    np.indices((8, 9)).sum(axis=0) % 2 == 0,            # checkerboard: one component
+    np.indices((8, 9)).sum(axis=0) % 2 == 1,
+    np.kron(np.indices((4, 4)).sum(axis=0) % 2 == 0, np.ones((2, 2), bool)),
+    _comb(6, 9),
+    np.flipud(_comb(6, 9)),                             # teeth join on the first row
+    np.ones((5, 7), bool),
+    np.zeros((5, 7), bool),
+    np.ones((1, 1), bool),
+    np.zeros((1, 1), bool),
+    np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], bool),      # 1 x W
+    np.array([[1], [1], [0], [1], [0], [0], [1]], bool),  # H x 1
+    _borders(6, 8),
+    _borders(2, 3),
+    np.pad(np.zeros((3, 4), bool), 1, constant_values=True),  # a frame
+], ids=["staircase", "anti-staircase", "checkerboard-even", "checkerboard-odd",
+        "checkerboard-2px", "comb", "comb-flipped", "all-true", "empty", "1x1-true",
+        "1x1-empty", "1xW", "Hx1", "borders", "borders-2x3", "frame"])
+def test_cc_hand_cases(fg):
+    _assert_cc_matches_oracles(fg)
