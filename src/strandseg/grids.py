@@ -177,18 +177,18 @@ def augment(image, instances, params: AugmentParams, rng_seed: int):
     contrast = 1.0 + rng.uniform(-params.contrast_delta, params.contrast_delta)
 
     out_image = image
-    masks = [m.copy() for m in instances.masks]
+    masks = instances.masks.copy()
     if do_rotate and angle != 0.0:
         out_image = rotate_grid(out_image, angle)
-        masks = [rotate_grid(m.astype(np.float64), angle, nearest=True) >= 0.5 for m in masks]
+        # rotate_grid turns the first two axes, so the stack goes in as (H, W, K).
+        masks = rotate_grid(masks.transpose(1, 2, 0), angle, nearest=True).transpose(2, 0, 1) >= 0.5
     if do_flip:
         out_image = hflip(out_image)
-        masks = [hflip(m) for m in masks]
+        masks = np.flip(masks, axis=2)  # W is axis 2 of the stack, not hflip's axis 1
     if do_brightness:
         out_image = adjust_brightness(out_image, brightness)
     if do_contrast:
         out_image = adjust_contrast(out_image, contrast)
 
     out_image = np.clip(out_image, 0.0, 1.0)
-    return out_image, InstanceSet(instances.height, instances.width,
-                                  [np.asarray(m, dtype=bool) for m in masks])
+    return out_image, InstanceSet(instances.height, instances.width, masks)

@@ -100,11 +100,6 @@ def build_instances(fe: ForegroundEmbeddings, scores: np.ndarray,
     nearest. The union of all masks is therefore exactly the foreground pixel
     set, and overlaps mark resolved intersections.
     """
-    if len(fe) == 0:
-        return InstanceSet(fe.height, fe.width, [])
-    member = scores < cfg.threshold_a
-    rows, cols = fe.pixels[:, 0], fe.pixels[:, 1]
-    masks = [np.zeros((fe.height, fe.width), dtype=bool) for _ in range(scores.shape[1])]
-    for c, mask in enumerate(masks):
-        mask[rows[member[:, c]], cols[member[:, c]]] = True
+    masks = np.zeros((scores.shape[1], fe.height, fe.width), dtype=bool)
+    masks[:, fe.pixels[:, 0], fe.pixels[:, 1]] = (scores < cfg.threshold_a).T
     return InstanceSet(fe.height, fe.width, masks)

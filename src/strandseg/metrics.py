@@ -11,7 +11,7 @@ Dataset-level numbers accumulate TP/FP/FN over all images before dividing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,8 +60,8 @@ def greedy_match_counts(pred: InstanceSet, gt: InstanceSet, thresholds) -> list:
     n_pred, n_gt = len(pred), len(gt)
     if n_pred == 0 or n_gt == 0:
         return [(0, n_pred, n_gt) for _ in thresholds]
-    p = np.stack(pred.masks).reshape(n_pred, -1)
-    g = np.stack(gt.masks).reshape(n_gt, -1)
+    p = pred.masks.reshape(n_pred, -1)
+    g = gt.masks.reshape(n_gt, -1)
     # Exact integer counts, so inter / union rounds as mask_iou's int / int does.
     inter = p.astype(np.int64) @ g.T.astype(np.int64)
     union = p.sum(axis=1)[:, None] + g.sum(axis=1)[None, :] - inter
@@ -127,16 +127,7 @@ class MetricReport:
     macro_ar: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "iou": self.iou,
-            "dice": self.dice,
-            "ap": self.ap,
-            "ar": self.ar,
-            "per_threshold": self.per_threshold,
-            "counts": self.counts,
-            "macro_ap": self.macro_ap,
-            "macro_ar": self.macro_ar,
-        }
+        return asdict(self)
 
 
 def evaluate_dataset(pred_instances, gt_instances, pred_fg, gt_fg,
@@ -246,4 +237,4 @@ def connected_components(fg: np.ndarray) -> InstanceSet:
     pixel_label = np.repeat(np.array(label, dtype=np.intp), end - start)
     masks = np.zeros((n_comp, h * w), dtype=bool)
     masks[pixel_label, np.flatnonzero(fg)] = True
-    return InstanceSet(h, w, list(masks.reshape(n_comp, h, w)))
+    return InstanceSet(h, w, masks.reshape(n_comp, h, w))

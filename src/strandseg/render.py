@@ -36,11 +36,9 @@ def render_overlay(image: np.ndarray, instances: InstanceSet) -> np.ndarray:
     out = np.repeat(gray[:, :, None], 3, axis=2)
     if len(instances) == 0:
         return out
-    counts = np.zeros(image.shape, dtype=np.int32)
-    for m in instances.masks:
-        counts += m
-    for k, mask in enumerate(instances.masks):
-        only = mask & (counts == 1)
-        out[only] = PALETTE[k % len(PALETTE)]
+    counts = instances.masks.sum(axis=0)
+    single = counts == 1
+    owner = instances.masks[:, single].argmax(axis=0)
+    out[single] = np.asarray(PALETTE, dtype=np.uint8)[owner % len(PALETTE)]
     out[counts >= 2] = MULTI_COLOR
     return out

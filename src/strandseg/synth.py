@@ -47,36 +47,39 @@ class PolylineAnnotation:
 
 @dataclass
 class InstanceSet:
-    """Ground-truth masks for one image: one boolean (H, W) mask per strand."""
+    """The instances of one image as one (K, H, W) bool array of masks.
+
+    Mask k is instance k; a pixel set in several masks is a crossing. Any
+    sequence of (H, W) masks is accepted and stored as one C-contiguous
+    array; an empty sequence gives shape (0, H, W).
+    """
 
     height: int
     width: int
-    masks: list
+    masks: np.ndarray
 
     def __post_init__(self):
-        self.masks = [np.asarray(m, dtype=bool) for m in self.masks]
-        for m in self.masks:
-            if m.shape != (self.height, self.width):
-                raise ValueError(
-                    f"mask shape {m.shape} != ({self.height}, {self.width})"
-                )
+        shape = (self.height, self.width)
+        try:
+            masks = np.asarray(self.masks, dtype=bool)
+        except ValueError as exc:
+            raise ValueError(f"every mask must have shape {shape}") from exc
+        if masks.shape == (0,):
+            masks = masks.reshape(0, *shape)
+        if masks.ndim != 3 or masks.shape[1:] != shape:
+            raise ValueError(f"masks shape {masks.shape} != (K, {self.height}, {self.width})")
+        self.masks = np.ascontiguousarray(masks)
 
     def __len__(self):
         return len(self.masks)
 
     def union(self) -> np.ndarray:
         """Foreground mask: pixels claimed by at least one instance."""
-        out = np.zeros((self.height, self.width), dtype=bool)
-        for m in self.masks:
-            out |= m
-        return out
+        return self.masks.any(axis=0)
 
     def overlap(self) -> np.ndarray:
         """Pixels claimed by two or more instances (the crossings)."""
-        counts = np.zeros((self.height, self.width), dtype=np.int32)
-        for m in self.masks:
-            counts += m
-        return counts >= 2
+        return self.masks.sum(axis=0) >= 2
 
 
 def polyline_distance_within(height, width, points, reach):
@@ -119,14 +122,6 @@ def rasterize_polyline(height, width, points, stroke_width) -> np.ndarray:
         raise ValueError(f"stroke_width must be positive, got {stroke_width}")
     r = stroke_width / 2.0
     return polyline_distance_within(height, width, points, r) <= r
-
-
-def _soft_coverage(height, width, points, stroke_width):
-    # One-pixel antialiasing ramp at the stroke border; used for rendering
-    # the image only, never for ground-truth masks.
-    r = stroke_width / 2.0
-    dist = polyline_distance_within(height, width, points, r + 1.0)
-    return np.clip(r + 0.5 - dist, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -252,13 +247,18 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
                 ok = False
                 break
             stroke = rng.uniform(spec.stroke_min, spec.stroke_max)
-            mask = rasterize_polyline(h, w, pts, stroke)
+            # One distance field per strand: reach r holds the mask, and the
+            # extra pixel of reach the antialiasing ramp at the stroke border,
+            # which only the image uses.
+            r = stroke / 2.0
+            dist = polyline_distance_within(h, w, pts, r + 1.0)
+            mask = dist <= r
             if mask.sum() < 4:
                 ok = False
                 break
             annotations.append(PolylineAnnotation(points=pts, width=stroke))
             masks.append(mask)
-            coverages.append(_soft_coverage(h, w, pts, stroke))
+            coverages.append(np.clip(r + 0.5 - dist, 0.0, 1.0))
         if not ok:
             continue
         if spec.ensure_crossing and n > 1 and not _pairwise_crossings_ok(masks):
@@ -295,12 +295,12 @@ def make_training_labels(instances: InstanceSet, rng) -> np.ndarray:
     labels = np.zeros((h, w), dtype=np.int32)
     if len(instances) == 0:
         return labels
-    stack = np.stack(instances.masks)  # (K, H, W)
-    counts = stack.sum(axis=0)
+    masks = instances.masks
+    counts = masks.sum(axis=0)
     single = counts == 1
-    labels[single] = stack[:, single].argmax(axis=0) + 1
+    labels[single] = masks[:, single].argmax(axis=0) + 1
     for y, x in np.argwhere(counts >= 2):
-        claimants = np.flatnonzero(stack[:, y, x])
+        claimants = np.flatnonzero(masks[:, y, x])
         labels[y, x] = int(rng.choice(claimants)) + 1
     return labels
 

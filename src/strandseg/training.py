@@ -4,10 +4,10 @@ Each epoch reshuffles the training scenes, re-randomizes which instance
 claims each crossing pixel (so intersection pixels alternate between their
 owners across epochs), optionally augments, and steps the optimizer once
 per batch. Validation runs unaugmented with per-sample fixed label draws so
-epoch-to-epoch val losses are comparable; it evaluates the objective with
-`total_loss`, which runs no backward pass, so validation computes no
-parameter gradients. The parameters returned are those of the epoch with the
-lowest validation loss.
+epoch-to-epoch val losses are comparable, so its inputs are built once per
+`train` call. It evaluates the objective with `total_loss`, which runs no
+backward pass, so validation computes no parameter gradients. The parameters
+returned are those of the epoch with the lowest validation loss.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ def train(train_scenes, val_scenes, loss_cfg: LossConfig, optim_cfg: OptimConfig
         seed=int(rng.integers(2**31)))
     state = init_adam_state(params)
     val_label_seeds = rng.integers(0, 2**63 - 1, size=len(val_scenes))
+    val_inputs = [_sample_inputs(scene, int(seed))
+                  for scene, seed in zip(val_scenes, val_label_seeds)]
 
     result = TrainResult(params={k: v.copy() for k, v in params.items()})
     best_val = np.inf
@@ -111,9 +113,8 @@ def train(train_scenes, val_scenes, loss_cfg: LossConfig, optim_cfg: OptimConfig
         train_loss = epoch_loss / len(order)
 
         val_loss = 0.0
-        for j, scene in enumerate(val_scenes):
-            loss, _ = total_loss(params, *_sample_inputs(scene, int(val_label_seeds[j])),
-                                 loss_cfg)
+        for inputs in val_inputs:
+            loss, _ = total_loss(params, *inputs, loss_cfg)
             val_loss += loss
         val_loss /= len(val_scenes)
         if not np.isfinite(val_loss):

@@ -153,6 +153,29 @@ def test_augment_geometry_hits_image_and_masks_alike():
         assert np.array_equal(m_out, hflip(m_in))
 
 
+@pytest.mark.parametrize("degrees,flip,k", [(0.0, True, 2), (25.0, False, 3),
+                                             (25.0, True, 3), (25.0, True, 0)])
+def test_augment_transforms_the_mask_stack_as_each_mask(degrees, flip, k):
+    # A non-square stack, so that flipping H instead of W would show.
+    rng = np.random.default_rng(5)
+    masks = rng.random((k, 14, 19)) < 0.4
+    inst = InstanceSet(14, 19, masks)
+    params = AugmentParams(rotation_degrees=degrees, flip=flip, brightness_delta=0.0,
+                           contrast_delta=0.0, per_transform_probability=1.0)
+    _, out_inst = augment(rng.random((14, 19)), inst, params, rng_seed=1)
+    draws = np.random.default_rng(1)  # augment's draw order: rotate?, angle, ...
+    draws.random()
+    angle = draws.uniform(-degrees, degrees)
+    assert angle == 0.0 or abs(angle) > 20.0  # seed 1 draws a rotation that moves pixels
+    want = []
+    for mask in masks:
+        if angle != 0.0:
+            mask = rotate_grid(mask.astype(np.float64), angle, nearest=True) >= 0.5
+        want.append(hflip(mask) if flip else mask)
+    assert out_inst.masks.shape == (k, 14, 19)
+    assert np.array_equal(out_inst.masks, np.array(want, dtype=bool).reshape(k, 14, 19))
+
+
 def test_augment_outputs_stay_in_range():
     img, inst = _scene()
     params = AugmentParams(per_transform_probability=1.0)

@@ -119,6 +119,53 @@ def test_instance_set_validation_and_helpers():
     assert inst.overlap().sum() == 1  # the (0,0) crossing
 
 
+_MASK_INPUTS = {
+    "array": lambda stack: stack,
+    "list": list,
+    "uint8 list": lambda stack: list(stack.astype(np.uint8)),
+    "float list": lambda stack: [m.astype(np.float64) for m in stack],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(1, 6), w=st.integers(1, 6), k=st.integers(0, 4),
+       form=st.sampled_from(sorted(_MASK_INPUTS)), data=st.data())
+def test_instance_set_stores_one_mask_stack(h, w, k, form, data):
+    bits = data.draw(st.lists(st.booleans(), min_size=k * h * w, max_size=k * h * w))
+    stack = np.array(bits, dtype=bool).reshape(k, h, w)
+    inst = InstanceSet(h, w, _MASK_INPUTS[form](stack))
+    assert inst.masks.dtype == bool and inst.masks.flags.c_contiguous
+    assert inst.masks.shape == (k, h, w) and len(inst) == k
+    assert np.array_equal(inst.masks, stack)
+    # union and overlap against a per-mask loop
+    union = np.zeros((h, w), dtype=bool)
+    counts = np.zeros((h, w), dtype=np.int64)
+    for mask in stack:
+        union |= mask
+        counts += mask
+    assert np.array_equal(inst.union(), union)
+    assert np.array_equal(inst.overlap(), counts >= 2)
+
+    wrong = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)).filter(
+        lambda shape: shape != (h, w)))
+    with pytest.raises(ValueError):
+        InstanceSet(h, w, [np.zeros(wrong, dtype=bool)] * max(k, 1))
+    with pytest.raises(ValueError):
+        InstanceSet(h, w, np.zeros((max(k, 1), *wrong), dtype=bool))
+    with pytest.raises(ValueError):  # masks of two shapes
+        InstanceSet(h, w, [np.zeros((h, w), dtype=bool), np.zeros(wrong, dtype=bool)])
+
+
+def test_instance_set_empty_and_unstacked_inputs():
+    assert InstanceSet(3, 5, []).masks.shape == (0, 3, 5)
+    assert not InstanceSet(3, 5, []).union().any()
+    with pytest.raises(ValueError):  # one (H, W) mask is not a stack
+        InstanceSet(3, 5, np.zeros((3, 5), dtype=bool))
+    flipped = np.flip(np.eye(4, dtype=bool)[None], axis=2)
+    inst = InstanceSet(4, 4, flipped)
+    assert inst.masks.flags.c_contiguous and np.array_equal(inst.masks, flipped)
+
+
 def test_generate_scene_deterministic():
     spec = SceneSpec()
     a = generate_scene(spec, 7)
