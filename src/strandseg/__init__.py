@@ -22,7 +22,7 @@ from .network import (LossConfig, dice_loss, discriminative_loss, forward,
                       init_params, total_loss_and_grad)
 from .optim import DivergenceError, OptimConfig, adamw_step, init_adam_state
 from .pipeline import (Diagnostics, PipelineConfig, infer, infer_cc_baseline,
-                       instances_from_maps, semantic_mask)
+                       instances_from_maps)
 from .render import MULTI_COLOR, PALETTE, render_overlay
 from .synth import (GenerationError, InstanceSet, PolylineAnnotation, Scene,
                     SceneSpec, annotations_to_document, annotations_to_instances,

@@ -7,21 +7,21 @@ Subcommands: synth | train | eval | infer | render | gradcheck. Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_run_config, run_config_to_dict
+from .config import (ConfigError, RunConfig, load_run_config, run_config_from_dict,
+                     run_config_to_dict)
 from .formats import (atomic_write_bytes, read_pgm, read_tensors, write_pgm,
                       write_ppm, write_tensors)
 from .gradcheck import DEFAULT_TOL, run_suite
 from .metrics import evaluate_dataset
 from .network import EMB_DIM, PARAM_ORDER, TRUNK_CHANNELS, validate_params
 from .optim import DivergenceError
-from .pipeline import PipelineConfig, infer, infer_cc_baseline
+from .pipeline import infer, infer_cc_baseline
 from .render import render_overlay
 from .synth import (GenerationError, InstanceSet, Scene, annotations_to_document,
                     generate_scene, scene_seeds)
@@ -48,26 +48,18 @@ def _instances_from_entries(entries: dict, height: int = None, width: int = None
 
 
 def _load_config(args) -> RunConfig:
-    cfg = load_run_config(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
+    """The run config with the command-line overrides set in its document.
 
-
-def _load_pipeline(args) -> PipelineConfig:
-    """The run config's pipeline settings with the command-line overrides applied."""
-    pipe = _load_config(args).pipeline
-    mean_shift, resolve = pipe.mean_shift, pipe.resolve
-    try:
-        if args.bandwidth is not None:
-            mean_shift = dataclasses.replace(mean_shift, bandwidth=args.bandwidth)
-        if args.beta is not None:
-            resolve = dataclasses.replace(resolve, beta=args.beta)
-        if args.threshold_a is not None:
-            resolve = dataclasses.replace(resolve, threshold_a=args.threshold_a)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return dataclasses.replace(pipe, mean_shift=mean_shift, resolve=resolve)
+    The flags then pass `run_config_from_dict` like any file value, so they
+    meet the same checks and their errors name the same keys.
+    """
+    doc = run_config_to_dict(load_run_config(args.config) if args.config else RunConfig())
+    for section, key in ((None, "seed"), ("optim", "epochs"), ("mean_shift", "bandwidth"),
+                         ("resolve", "beta"), ("resolve", "threshold_a")):
+        value = getattr(args, key, None)
+        if value is not None:
+            (doc[section] if section else doc)[key] = value
+    return run_config_from_dict(doc)
 
 
 def _load_checkpoint(path) -> dict:
@@ -85,7 +77,8 @@ def _load_dataset(dataset_dir) -> list:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # a deeply nested document exhausts the decoder's recursion limit
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{manifest_path}: invalid JSON ({exc})") from exc
     entries = manifest.get("scenes", []) if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
@@ -134,12 +127,6 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    if args.epochs is not None:
-        try:
-            cfg = dataclasses.replace(cfg, optim=dataclasses.replace(
-                cfg.optim, epochs=args.epochs))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     scenes = _load_dataset(args.dataset)
     if len(scenes) < 2:
         raise ConfigError(f"dataset {args.dataset!r} has {len(scenes)} scene(s); "
@@ -176,7 +163,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pipe = _load_pipeline(args)
+    pipe = _load_config(args).pipeline
     params = _load_checkpoint(args.checkpoint)
     scenes = _load_dataset(args.dataset)
     if not scenes:
@@ -208,7 +195,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    pipe = _load_pipeline(args)
+    pipe = _load_config(args).pipeline
     params = _load_checkpoint(args.checkpoint)
     image = read_pgm(args.image)
     instances, fg, diag = infer(params, image, pipe)
@@ -271,6 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
         if out_required:
             p.add_argument("--out", required=True, help="output directory")
 
+    def pipeline_overrides(p):
+        p.add_argument("--threshold-a", type=float, dest="threshold_a")
+        p.add_argument("--beta", type=float)
+        p.add_argument("--bandwidth", type=float)
+
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p)
     p.add_argument("--count", type=int, required=True, help="number of scenes")
@@ -287,18 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--method", choices=("embedding", "cc"), default="embedding")
-    p.add_argument("--threshold-a", type=float, dest="threshold_a")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--bandwidth", type=float)
+    pipeline_overrides(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("infer", help="run the pipeline on one image")
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True, help="input PGM image")
-    p.add_argument("--threshold-a", type=float, dest="threshold_a")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--bandwidth", type=float)
+    pipeline_overrides(p)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("render", help="render an instance overlay PPM")

@@ -119,7 +119,8 @@ def load_run_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # a deeply nested document exhausts the decoder's recursion limit
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     try:
         return run_config_from_dict(doc)

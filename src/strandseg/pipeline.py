@@ -106,13 +106,9 @@ def infer(params: dict, image: np.ndarray, cfg: PipelineConfig):
     return instances, fg, diag
 
 
-def semantic_mask(params: dict, image: np.ndarray, seg_threshold: float) -> np.ndarray:
+def infer_cc_baseline(params: dict, image: np.ndarray, seg_threshold: float):
+    """Baseline: the foreground `infer` thresholds, instances = 8-connected components."""
     seg_half, _ = forward(params, image)
     h, w = image.shape
-    return upsample_bilinear(seg_half, h, w) >= seg_threshold
-
-
-def infer_cc_baseline(params: dict, image: np.ndarray, seg_threshold: float):
-    """Baseline: same semantic mask, instances = 8-connected components."""
-    fg = semantic_mask(params, image, seg_threshold)
+    fg = upsample_bilinear(seg_half, h, w) >= seg_threshold
     return connected_components(fg), fg

@@ -168,9 +168,12 @@ def test_train_epochs_override(tmp_path, cfg_path):
     _synth(cfg_path, data, count=4)
     run = str(tmp_path / "run")
     assert main(["train", "--config", cfg_path, "--dataset", data,
-                 "--epochs", "1", "--out", run]) == 0
+                 "--seed", "5", "--epochs", "1", "--out", run]) == 0
     sidecar = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
     assert sidecar["epochs_run"] == 1
+    assert sidecar["config"]["seed"] == 5
+    assert sidecar["config"]["optim"]["epochs"] == 1
+    assert sidecar["config"]["optim"]["learning_rate"] == CONFIG["optim"]["learning_rate"]
 
 
 def test_gradcheck_subcommand(capsys):
@@ -184,6 +187,26 @@ def test_gradcheck_without_fixtures_exits_2(fixtures, capsys):
     # zero fixtures would check nothing and report a pass
     assert main(["gradcheck", "--fixtures", fixtures]) == 2
     assert "gradient check passed" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["config", "manifest"])
+def test_deeply_nested_json_exits_2(tmp_path, cfg_path, target, capsys):
+    # json.load raises RecursionError, not JSONDecodeError, on such a document
+    deep = "[" * 100000
+    if target == "config":
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        args = ["synth", "--config", str(path), "--count", "1", "--out", str(tmp_path / "o")]
+    else:
+        data = tmp_path / "data"
+        _synth(cfg_path, str(data), count=2)
+        path = data / "manifest.json"
+        path.write_text(deep)
+        args = ["train", "--config", cfg_path, "--dataset", str(data),
+                "--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert f"{path}: invalid JSON" in capsys.readouterr().err
 
 
 def test_bad_config_exits_2(tmp_path):
@@ -315,6 +338,27 @@ def test_non_finite_override_exits_2(infer_args, flag, value, capsys):
     capsys.readouterr()
     assert main(infer_args + [flag, value]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,names", [
+    ("--seed", "-1", ["seed"]),
+    ("--epochs", "-1", ["optim", "epochs"]),
+    ("--bandwidth", "0", ["mean_shift", "bandwidth"]),
+    ("--beta", "inf", ["resolve", "beta"]),
+    ("--threshold-a", "0.4", ["resolve", "threshold_a"]),
+])
+def test_invalid_override_exits_2(tmp_path, cfg_path, infer_args, flag, value, names, capsys):
+    # flags are checked by the same validator as config values, and name the same key
+    if flag in ("--seed", "--epochs"):
+        data = str(tmp_path / "data")
+        _synth(cfg_path, data, count=2)
+        args = ["train", "--config", cfg_path, "--dataset", data, "--out", str(tmp_path / "run")]
+    else:
+        args = infer_args
+    capsys.readouterr()
+    assert main(args + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and all(name in err for name in names)
 
 
 @pytest.mark.parametrize("text,key", [

@@ -6,8 +6,7 @@ from strandseg.clustering import MeanShiftConfig
 from strandseg.intersections import ResolveConfig
 from strandseg.network import init_params, param_shapes
 from strandseg.pipeline import (Diagnostics, PipelineConfig, infer,
-                                infer_cc_baseline, instances_from_maps,
-                                semantic_mask)
+                                infer_cc_baseline, instances_from_maps)
 from strandseg.render import MULTI_COLOR, PALETTE, render_overlay
 from strandseg.synth import InstanceSet
 
@@ -147,11 +146,9 @@ def test_semantic_mask_identical_between_methods():
     params = init_params(2)
     image = np.random.default_rng(3).random((16, 16))
     for thr in (0.45, 0.5, 0.55):
-        fg = semantic_mask(params, image, thr)
-        _, fg_emb, _ = infer(params, image, _cfg(seg_threshold=thr))
+        _, fg, _ = infer(params, image, _cfg(seg_threshold=thr))
         cc_inst, fg_cc = infer_cc_baseline(params, image, thr)
-        np.testing.assert_array_equal(fg, fg_emb)
-        np.testing.assert_array_equal(fg, fg_cc)
+        np.testing.assert_array_equal(fg_cc, fg)
         np.testing.assert_array_equal(cc_inst.union(), fg)
 
 
