@@ -30,9 +30,9 @@ emb[crossing] = [1.5, 0, 0]   # equidistant from both cluster centers
 # foreground embeddings get two scaled coordinate channels appended, so the
 # clusters are found in 5-d
 fg = seg_prob >= 0.5
-fe = ss.augment_coordinates(emb, fg, coord_scale=0.25)
-model = ss.mean_shift(fe, ss.MeanShiftConfig(bandwidth=0.75, merge_radius=1.6,
-                                             coord_scale=0.25))
+vectors = ss.augment_coordinates(emb, fg, coord_scale=0.25)
+model = ss.mean_shift(vectors, ss.MeanShiftConfig(bandwidth=0.75, merge_radius=1.6,
+                                                  coord_scale=0.25))
 print(f"mean shift found {model.k} clusters")
 for i, c in enumerate(model.centers):
     print(f"  center {i}: emb=({c[0]:+.3f},{c[1]:+.3f},{c[2]:+.3f}) "
@@ -41,8 +41,10 @@ for i, c in enumerate(model.centers):
 # --- one crossing pixel under the similarity rule -----------------------------
 resolve_cfg = ss.ResolveConfig(beta=2.0, threshold_a=0.7)
 idx = np.argwhere(crossing)[4]  # middle of the crossing block
-row = np.nonzero((fe.pixels == idx).all(axis=1))[0][0]
-vec = fe.vectors[row]
+# the rows of `vectors` follow fg's raster order, so fg puts them back on the grid
+grid = np.zeros((h, w, 5))
+grid[fg] = vectors
+vec = grid[tuple(idx)]
 d = np.sort(np.linalg.norm(model.centers - vec, axis=1))
 scores = ss.similarity_scores(d, beta=resolve_cfg.beta)
 print(f"pixel {(int(idx[0]), int(idx[1]))}: distances {np.round(d, 3)}, "

@@ -7,8 +7,7 @@ test on cluster-center distances assigns crossing pixels to every strand
 involved.
 """
 
-from .clustering import (ClusterModel, ForegroundEmbeddings, MeanShiftConfig,
-                         augment_coordinates, mean_shift)
+from .clustering import ClusterModel, MeanShiftConfig, augment_coordinates, mean_shift
 from .config import ConfigError, RunConfig, load_run_config, run_config_from_dict
 from .formats import (read_pgm, read_ppm, read_tensors, write_pgm, write_ppm,
                       write_tensors)

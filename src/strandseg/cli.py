@@ -38,13 +38,13 @@ def _mask_entries(instances: InstanceSet) -> dict:
             for k, m in enumerate(instances.masks)}
 
 
-def _instances_from_entries(entries: dict, height: int = None, width: int = None) -> InstanceSet:
-    masks = [entries[name] >= 0.5 for name in sorted(entries)]
-    if masks:
-        height, width = masks[0].shape
-    if height is None:
-        raise ConfigError("mask container is empty and dimensions are unknown")
-    return InstanceSet(height, width, masks)
+def _read_instances(path, height: int, width: int) -> InstanceSet:
+    """The masks of a container, which must have its image's dimensions."""
+    entries = read_tensors(path)
+    try:
+        return InstanceSet(height, width, [entries[name] >= 0.5 for name in sorted(entries)])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _load_config(args) -> RunConfig:
@@ -90,9 +90,8 @@ def _load_dataset(dataset_dir) -> list:
             raise ConfigError(f"{manifest_path}: scene entry {i} needs string "
                               "\"image\" and \"masks\" paths")
         image = read_pgm(os.path.join(dataset_dir, entry["image"]))
-        masks = read_tensors(os.path.join(dataset_dir, entry["masks"]))
-        h, w = image.shape
-        scenes.append(Scene(image, _instances_from_entries(masks, h, w)))
+        masks_path = os.path.join(dataset_dir, entry["masks"])
+        scenes.append(Scene(image, _read_instances(masks_path, *image.shape)))
     return scenes
 
 
@@ -219,9 +218,7 @@ def cmd_infer(args) -> int:
 
 def cmd_render(args) -> int:
     image = read_pgm(args.image)
-    entries = read_tensors(args.masks)
-    h, w = image.shape
-    instances = _instances_from_entries(entries, h, w)
+    instances = _read_instances(args.masks, *image.shape)
     write_ppm(args.out, render_overlay(image, instances))
     print(f"overlay written to {args.out}")
     return 0

@@ -2,10 +2,12 @@
 
 Foreground embeddings are lifted to 5-d by appending normalized image
 coordinates, so two strands with similar learned embeddings can still be
-separated spatially (and vice versa). Clustering uses a flat-kernel mean
-shift: every seed point repeatedly jumps to the mean of all points within
-`bandwidth` of it, which reaches an exact fixed point once the in-window
-set stops changing.
+separated spatially (and vice versa). `augment_coordinates` returns them as
+one (N, 5) array whose rows follow the raster order of the foreground mask:
+the mask alone says which pixel each row belongs to, and `mean_shift` never
+needs to know. Clustering uses a flat-kernel mean shift: every seed point
+repeatedly jumps to the mean of all points within `bandwidth` of it, which
+reaches an exact fixed point once the in-window set stops changing.
 
 Converged modes are reduced to final centers in a canonical order: modes
 are ranked by in-window support (ties broken lexicographically on the mode
@@ -58,63 +60,35 @@ class MeanShiftConfig:
 
     def __post_init__(self):
         for name in ("bandwidth", "merge_radius", "convergence_tol"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
+            if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
         if not -math.inf < self.coord_scale < math.inf:
             raise ValueError("coord_scale must be finite")
-        if self.seed_cap < 1:
+        if not self.seed_cap >= 1:
             raise ValueError("seed_cap must be >= 1")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be >= 1")
-
-
-@dataclass
-class ForegroundEmbeddings:
-    """Per-foreground-pixel 5-d vectors, in raster order.
-
-    pixels : (N, 2) int array of (row, col)
-    vectors : (N, 5) float array — 3 learned dims + 2 scaled coordinates
-    height, width : dims of the source grid
-    """
-
-    pixels: np.ndarray
-    vectors: np.ndarray
-    height: int
-    width: int
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.int64).reshape(-1, 2)
-        self.vectors = np.asarray(self.vectors, dtype=np.float64).reshape(-1, 5)
-        if len(self.pixels) != len(self.vectors):
-            raise ValueError("pixels and vectors must have equal length")
-        if not np.isfinite(self.vectors).all():
-            raise ValueError("embedding vectors must be finite")
-
-    def __len__(self):
-        return len(self.vectors)
+        if not self.rng_seed >= 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 def augment_coordinates(emb: np.ndarray, fg_mask: np.ndarray,
-                        coord_scale: float = 1.0) -> ForegroundEmbeddings:
-    """Gather foreground embeddings and append scaled normalized coordinates.
+                        coord_scale: float = 1.0) -> np.ndarray:
+    """(N, 5) float64 vectors of the N foreground pixels: 3 learned dims + 2 coordinates.
 
     The appended pair is (row/(H-1), col/(W-1)) * coord_scale, so corners map
-    to (0, 0) and (coord_scale, coord_scale). Raster (row-major) order is
-    preserved. An empty mask yields an empty result.
+    to (0, 0) and (coord_scale, coord_scale). Rows follow the raster order in
+    which `emb[fg_mask]` visits the pixels, so `fg_mask` maps them back onto
+    the grid. An empty mask yields a (0, 5) array.
     """
     emb = np.asarray(emb, dtype=np.float64)
     fg_mask = np.asarray(fg_mask, dtype=bool)
     if emb.ndim != 3 or emb.shape[:2] != fg_mask.shape:
         raise ValueError(f"emb {emb.shape} and mask {fg_mask.shape} dims disagree")
     h, w = fg_mask.shape
-    pixels = np.argwhere(fg_mask)  # raster order
-    learned = emb[fg_mask]
-    denom_r = max(h - 1, 1)
-    denom_c = max(w - 1, 1)
-    coords = np.stack([pixels[:, 0] / denom_r, pixels[:, 1] / denom_c], axis=1)
-    vectors = np.concatenate([learned, coords * coord_scale], axis=1)
-    return ForegroundEmbeddings(pixels=pixels, vectors=vectors, height=h, width=w)
+    rows, cols = np.nonzero(fg_mask)
+    coords = np.stack([rows / max(h - 1, 1), cols / max(w - 1, 1)], axis=1)
+    return np.concatenate([emb[fg_mask], coords * coord_scale], axis=1)
 
 
 @dataclass
@@ -139,15 +113,17 @@ class MeanShiftCounters:
 
 @dataclass
 class ClusterModel:
-    """K cluster centers plus the distance from every pixel to each of them.
+    """K cluster centers plus the distance from every clustered row to each of them.
 
-    `distances` is computed once, by `mean_shift`. `assignment` reads it, and
-    so does `intersections.crossing_scores`, whose (N, K) matrix
-    `pipeline.instances_from_maps` hands to both `build_instances` and
-    `min_similarity`.
+    `distances` is computed once, by `mean_shift`; its rows are the rows of
+    the vectors it clustered, so for `augment_coordinates` output they follow
+    the foreground mask's raster order. `assignment` reads it, and so does
+    `intersections.crossing_scores`, whose (N, K) matrix
+    `pipeline.instances_from_maps` hands, with the mask, to both
+    `build_instances` and `min_similarity`.
     """
 
-    centers: np.ndarray  # (K, 5)
+    centers: np.ndarray  # (K, D)
     distances: np.ndarray  # (N, K) center_distances(vectors, centers)
     counters: MeanShiftCounters = field(default_factory=MeanShiftCounters)
 
@@ -228,13 +204,18 @@ def _converge(points: np.ndarray, starts: np.ndarray, cfg: MeanShiftConfig,
     return modes
 
 
-def mean_shift(fe: ForegroundEmbeddings, cfg: MeanShiftConfig) -> ClusterModel:
-    """Cluster foreground embeddings; deterministic per (input, cfg).
+def mean_shift(vectors: np.ndarray, cfg: MeanShiftConfig) -> ClusterModel:
+    """Cluster the (N, D) rows of `vectors`; deterministic per (input, cfg).
 
     Seeds are all points when N <= seed_cap, otherwise a seeded random
-    subsample of seed_cap points. Raises ValueError on empty input.
+    subsample of seed_cap points. Raises ValueError on empty, non-2-d or
+    non-finite input.
     """
-    points = fe.vectors
+    points = np.asarray(vectors, dtype=np.float64)
+    if points.ndim != 2:
+        raise ValueError(f"vectors must be an (N, D) array, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("embedding vectors must be finite")
     n = len(points)
     if n == 0:
         raise ValueError("mean_shift requires at least one foreground pixel")

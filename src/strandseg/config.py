@@ -86,8 +86,9 @@ def _build_section(cls, data, section):
             raise ConfigError(f"{section}.{key} must be an integer")
     try:
         return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {section!r} section: {exc}") from exc
+    except ValueError as exc:
+        # every settings check names its key first
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def run_config_from_dict(doc: dict) -> RunConfig:

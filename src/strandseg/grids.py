@@ -141,10 +141,9 @@ class AugmentParams:
     per_transform_probability: float = 0.2
 
     def __post_init__(self):
-        if self.rotation_degrees < 0:
-            raise ValueError("rotation_degrees must be >= 0")
-        if self.brightness_delta < 0 or self.contrast_delta < 0:
-            raise ValueError("brightness/contrast deltas must be >= 0")
+        for name in ("rotation_degrees", "brightness_delta", "contrast_delta"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.per_transform_probability <= 1.0:
             raise ValueError("per_transform_probability must be in [0, 1]")
 

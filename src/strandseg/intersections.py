@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ForegroundEmbeddings
 from .synth import InstanceSet
 
 
@@ -76,30 +75,32 @@ def resolve_pixel(embedding: np.ndarray, centers: np.ndarray, cfg: ResolveConfig
     return owners
 
 
-def min_similarity(fe: ForegroundEmbeddings, scores: np.ndarray) -> np.ndarray:
+def min_similarity(fg: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """(H, W) map of each foreground pixel's lowest non-nearest score; 1.0 elsewhere.
 
-    `scores` is the (N, K) `crossing_scores` matrix. The nearest center's 0.5
-    is each row's smallest entry, so the map takes the second-smallest; it is
-    all 1.0 when K = 1. Low values flag intersection candidates.
+    `fg` is the (H, W) bool foreground mask and `scores` the (N, K)
+    `crossing_scores` matrix, one row per foreground pixel in raster order.
+    The nearest center's 0.5 is each row's smallest entry, so the map takes
+    the second-smallest; it is all 1.0 when K < 2. Low values flag
+    intersection candidates.
     """
-    out = np.ones((fe.height, fe.width))
-    if len(fe) == 0 or scores.shape[1] == 1:
+    out = np.ones(fg.shape)
+    if scores.shape[1] < 2:
         return out
-    out[fe.pixels[:, 0], fe.pixels[:, 1]] = np.partition(scores, 1, axis=1)[:, 1]
+    out[fg] = np.partition(scores, 1, axis=1)[:, 1]
     return out
 
 
-def build_instances(fe: ForegroundEmbeddings, scores: np.ndarray,
-                    cfg: ResolveConfig) -> InstanceSet:
+def build_instances(fg: np.ndarray, scores: np.ndarray, cfg: ResolveConfig) -> InstanceSet:
     """One mask per cluster; crossing pixels may appear in several masks.
 
-    `scores` is the (N, K) `crossing_scores` matrix. Pixel p joins mask c iff
-    c is in resolve_pixel(p): its nearest center scores 0.5 and ResolveConfig
-    keeps threshold_a > 0.5, so `scores < threshold_a` always holds the
-    nearest. The union of all masks is therefore exactly the foreground pixel
-    set, and overlaps mark resolved intersections.
+    `fg` is the (H, W) bool foreground mask and `scores` the (N, K)
+    `crossing_scores` matrix, one row per foreground pixel in raster order.
+    Pixel p joins mask c iff c is in resolve_pixel(p): its nearest center
+    scores 0.5 and ResolveConfig keeps threshold_a > 0.5, so
+    `scores < threshold_a` always holds the nearest. The union of all masks is
+    therefore exactly `fg`, and overlaps mark resolved intersections.
     """
-    masks = np.zeros((scores.shape[1], fe.height, fe.width), dtype=bool)
-    masks[:, fe.pixels[:, 0], fe.pixels[:, 1]] = (scores < cfg.threshold_a).T
-    return InstanceSet(fe.height, fe.width, masks)
+    masks = np.zeros((scores.shape[1], *fg.shape), dtype=bool)
+    masks[:, fg] = (scores < cfg.threshold_a).T
+    return InstanceSet(*fg.shape, masks)

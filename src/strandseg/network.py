@@ -221,12 +221,12 @@ class LossConfig:
     w_disc: float = 1.0
 
     def __post_init__(self):
-        if self.delta_v <= 0:
+        if not self.delta_v > 0:
             raise ValueError("delta_v must be > 0")
-        if self.delta_d <= 2 * self.delta_v:
+        if not self.delta_d > 2 * self.delta_v:
             raise ValueError("delta_d must exceed 2*delta_v for separable zero-loss configs")
         for name in ("w_var", "w_dist", "w_dice", "w_disc"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
 
 

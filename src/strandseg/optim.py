@@ -22,14 +22,17 @@ class OptimConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta coefficients must lie in [0, 1)")
-        if self.weight_decay < 0:
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if not self.weight_decay >= 0:
             raise ValueError("weight_decay must be >= 0")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size >= 1 and epochs >= 0 required")
+        if not self.batch_size >= 1:
+            raise ValueError("batch_size must be >= 1")
+        if not self.epochs >= 0:
+            raise ValueError("epochs must be >= 0")
 
 
 def init_adam_state(params: dict) -> dict:

@@ -74,18 +74,18 @@ def instances_from_maps(seg_prob: np.ndarray, emb: np.ndarray,
         return InstanceSet(fg.shape[0], fg.shape[1], []), fg, diag
 
     t0 = time.perf_counter()
-    fe = augment_coordinates(emb, fg, cfg.mean_shift.coord_scale)
-    cm = mean_shift(fe, cfg.mean_shift)
+    vectors = augment_coordinates(emb, fg, cfg.mean_shift.coord_scale)
+    cm = mean_shift(vectors, cfg.mean_shift)
     t1 = time.perf_counter()
     scores = crossing_scores(cm.distances, cfg.resolve.beta)
-    instances = build_instances(fe, scores, cfg.resolve)
+    instances = build_instances(fg, scores, cfg.resolve)
     t2 = time.perf_counter()
 
     diag.clusters = cm.k
     diag.centers = cm.centers
     diag.mean_shift = cm.counters
     diag.multi_assigned_pixels = int(instances.overlap().sum())
-    diag.min_similarity = min_similarity(fe, scores)
+    diag.min_similarity = min_similarity(fg, scores)
     diag.timings_ms["cluster"] = (t1 - t0) * 1e3
     diag.timings_ms["resolve"] = (t2 - t1) * 1e3
     return instances, fg, diag

@@ -143,17 +143,24 @@ class SceneSpec:
     max_attempts: int = 50
 
     def __post_init__(self):
-        if self.height < 8 or self.width < 8:
-            raise ValueError("scene must be at least 8x8")
-        if not 1 <= self.curves_min <= self.curves_max:
-            raise ValueError("need 1 <= curves_min <= curves_max")
-        if not 0 < self.stroke_min <= self.stroke_max:
-            raise ValueError("need 0 < stroke_min <= stroke_max")
-        if not 0 <= self.intensity_min <= self.intensity_max <= 1:
-            raise ValueError("intensities must satisfy 0 <= min <= max <= 1")
-        if self.noise_sigma < 0:
+        for name in ("height", "width"):
+            if not getattr(self, name) >= 8:
+                raise ValueError(f"{name} must be >= 8")
+        if not self.curves_min >= 1:
+            raise ValueError("curves_min must be >= 1")
+        if not self.curves_max >= self.curves_min:
+            raise ValueError("curves_max must be >= curves_min")
+        if not self.stroke_min > 0:
+            raise ValueError("stroke_min must be > 0")
+        if not self.stroke_max >= self.stroke_min:
+            raise ValueError("stroke_max must be >= stroke_min")
+        if not self.intensity_min >= 0:
+            raise ValueError("intensity_min must be >= 0")
+        if not self.intensity_min <= self.intensity_max <= 1:
+            raise ValueError("intensity_max must lie in [intensity_min, 1]")
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be >= 0")
-        if self.control_points < 2:
+        if not self.control_points >= 2:
             raise ValueError("control_points must be >= 2")
 
 

@@ -15,8 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from strandseg.clustering import (ForegroundEmbeddings, MeanShiftConfig,
-                                  augment_coordinates, mean_shift)
+from strandseg.clustering import MeanShiftConfig, mean_shift
 from strandseg.cli import main
 from strandseg.gradcheck import run_suite
 from strandseg.intersections import ResolveConfig, similarity_scores
@@ -167,11 +166,7 @@ def test_criterion_04_clustering_oracle():
             c + rng.normal(scale=0.15, size=(30, 5)) for c in centers])
         oracle = np.argmin(
             np.linalg.norm(points[:, None, :] - centers[None], axis=2), axis=1)
-        n = len(points)
-        fe = ForegroundEmbeddings(
-            pixels=np.stack([np.zeros(n, int), np.arange(n)], axis=1),
-            vectors=points, height=1, width=n)
-        model = mean_shift(fe, cfg)
+        model = mean_shift(points, cfg)
         if model.k == k and adjusted_rand_index(model.assignment, oracle) == 1.0:
             perfect += 1
     assert perfect == 100

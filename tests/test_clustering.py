@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strandseg import clustering
-from strandseg.clustering import (ForegroundEmbeddings, MeanShiftConfig, MeanShiftCounters,
-                                  _converge, augment_coordinates, mean_shift)
+from strandseg.clustering import (MeanShiftConfig, MeanShiftCounters, _converge,
+                                  augment_coordinates, mean_shift)
 
 
 def adjusted_rand_index(a, b):
@@ -32,11 +32,7 @@ def adjusted_rand_index(a, b):
 
 
 def _fe_from_vectors(vectors):
-    vectors = np.asarray(vectors, dtype=np.float64)
-    n = len(vectors)
-    pixels = np.stack([np.zeros(n, int), np.arange(n)], axis=1)
-    return ForegroundEmbeddings(pixels=pixels, vectors=vectors,
-                                height=1, width=max(n, 1))
+    return np.asarray(vectors, dtype=np.float64)
 
 
 def _blobs(rng, centers, per, spread=0.05):
@@ -54,26 +50,25 @@ def test_augment_corner_values_and_order():
     emb = np.zeros((4, 6, 3))
     mask = np.zeros((4, 6), bool)
     mask[0, 0] = mask[3, 5] = mask[1, 2] = True
-    fe = augment_coordinates(emb, mask, coord_scale=2.0)
-    assert len(fe) == 3
+    vectors = augment_coordinates(emb, mask, coord_scale=2.0)
+    assert vectors.shape == (3, 5) and vectors.dtype == np.float64
     # raster order: (0,0), (1,2), (3,5)
-    assert fe.pixels.tolist() == [[0, 0], [1, 2], [3, 5]]
-    np.testing.assert_allclose(fe.vectors[0, 3:], [0.0, 0.0])
-    np.testing.assert_allclose(fe.vectors[2, 3:], [2.0, 2.0])
-    np.testing.assert_allclose(fe.vectors[1, 3:], [2.0 * 1 / 3, 2.0 * 2 / 5])
+    np.testing.assert_allclose(vectors[0, 3:], [0.0, 0.0])
+    np.testing.assert_allclose(vectors[2, 3:], [2.0, 2.0])
+    np.testing.assert_allclose(vectors[1, 3:], [2.0 * 1 / 3, 2.0 * 2 / 5])
 
 
 def test_augment_zero_scale_drops_spatial_information():
     emb = np.random.default_rng(0).normal(size=(4, 4, 3))
     mask = np.ones((4, 4), bool)
-    fe = augment_coordinates(emb, mask, coord_scale=0.0)
-    assert np.all(fe.vectors[:, 3:] == 0.0)
-    np.testing.assert_array_equal(fe.vectors[:, :3], emb.reshape(-1, 3))
+    vectors = augment_coordinates(emb, mask, coord_scale=0.0)
+    assert np.all(vectors[:, 3:] == 0.0)
+    np.testing.assert_array_equal(vectors[:, :3], emb.reshape(-1, 3))
 
 
 def test_augment_empty_mask():
-    fe = augment_coordinates(np.zeros((4, 4, 3)), np.zeros((4, 4), bool))
-    assert len(fe) == 0
+    vectors = augment_coordinates(np.zeros((4, 4, 3)), np.zeros((4, 4), bool))
+    assert vectors.shape == (0, 5)
 
 
 def test_augment_shape_mismatch_raises():
@@ -85,9 +80,23 @@ def test_augment_shape_mismatch_raises():
 
 
 def test_mean_shift_empty_input_raises():
-    fe = augment_coordinates(np.zeros((4, 4, 3)), np.zeros((4, 4), bool))
+    vectors = augment_coordinates(np.zeros((4, 4, 3)), np.zeros((4, 4), bool))
     with pytest.raises(ValueError):
-        mean_shift(fe, MeanShiftConfig())
+        mean_shift(vectors, MeanShiftConfig())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mean_shift_rejects_non_finite_vectors(bad):
+    vectors = np.zeros((6, 5))
+    vectors[3, 1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        mean_shift(vectors, MeanShiftConfig())
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 5)])
+def test_mean_shift_rejects_non_2d_vectors(shape):
+    with pytest.raises(ValueError, match="shape"):
+        mean_shift(np.zeros(shape), MeanShiftConfig())
 
 
 def test_two_blob_oracle():

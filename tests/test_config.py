@@ -1,9 +1,11 @@
 import json
+import math
+import typing
 from pathlib import Path
 
 import pytest
 
-from strandseg.config import (ConfigError, RunConfig, load_run_config,
+from strandseg.config import (_SECTIONS, ConfigError, RunConfig, load_run_config,
                               run_config_from_dict, run_config_to_dict)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -60,6 +62,45 @@ def test_invalid_value_surfaces_as_config_error():
         run_config_from_dict({"optim": {"learning_rate": -1.0}})
     with pytest.raises(ConfigError):
         run_config_from_dict({"pipeline": {"seg_threshold": 2.0}})
+
+
+# One out-of-range value per range check of the seven settings dataclasses.
+RANGE_CASES = [
+    ("scene", "height", 7), ("scene", "width", 7), ("scene", "curves_min", 0),
+    ("scene", "curves_max", 1), ("scene", "stroke_min", 0.0), ("scene", "stroke_max", 1.0),
+    ("scene", "intensity_min", -0.1), ("scene", "intensity_max", 0.5),
+    ("scene", "intensity_max", 1.5), ("scene", "noise_sigma", -0.1),
+    ("scene", "control_points", 1),
+    ("loss", "delta_v", 0.0), ("loss", "delta_d", 1.0), ("loss", "w_var", -1.0),
+    ("loss", "w_dist", -1.0), ("loss", "w_dice", -1.0), ("loss", "w_disc", -1.0),
+    ("optim", "learning_rate", 0.0), ("optim", "beta1", 1.0), ("optim", "beta2", -0.1),
+    ("optim", "weight_decay", -1.0), ("optim", "batch_size", 0), ("optim", "epochs", -1),
+    ("mean_shift", "bandwidth", 0.0), ("mean_shift", "merge_radius", 0.0),
+    ("mean_shift", "convergence_tol", 0.0), ("mean_shift", "seed_cap", 0),
+    ("mean_shift", "max_iterations", 0), ("mean_shift", "rng_seed", -1),
+    ("resolve", "beta", 0.0), ("resolve", "threshold_a", 0.5),
+    ("pipeline", "seg_threshold", 1.0),
+    ("augment", "rotation_degrees", -1.0), ("augment", "brightness_delta", -1.0),
+    ("augment", "contrast_delta", -1.0), ("augment", "per_transform_probability", 1.5),
+]
+
+
+@pytest.mark.parametrize("section,key,value", RANGE_CASES)
+def test_range_error_names_section_and_key(section, key, value):
+    # the one key a check rejects comes first, so the loader prints section.key
+    with pytest.raises(ConfigError) as info:
+        run_config_from_dict({section: {key: value}})
+    assert str(info.value).startswith(f"{section}.{key} ")
+
+
+@pytest.mark.parametrize("section,key", sorted({
+    (section, key) for section, key, _ in RANGE_CASES
+    if typing.get_type_hints(_SECTIONS[section])[key] is float}))
+def test_range_checks_reject_nan(section, key):
+    # each check states the condition that must hold, so NaN fails it
+    with pytest.raises(ValueError) as info:
+        _SECTIONS[section](**{key: math.nan})
+    assert str(info.value).startswith(f"{key} ")
 
 
 def test_augment_section_nullable():

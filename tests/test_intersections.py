@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strandseg.clustering import ClusterModel, ForegroundEmbeddings, center_distances
+from strandseg.clustering import ClusterModel, center_distances
 from strandseg.intersections import (ResolveConfig, build_instances, crossing_scores,
                                      min_similarity, resolve_pixel,
                                      similarity_scores)
@@ -115,10 +115,10 @@ def test_resolve_config_validation():
 # --- whole-frame assembly ---------------------------------------------------
 
 
-def _model(fe, centers):
+def _model(vectors, centers):
     """The ClusterModel mean_shift would return for these centers."""
     centers = np.asarray(centers, dtype=float)
-    return ClusterModel(centers=centers, distances=center_distances(fe.vectors, centers))
+    return ClusterModel(centers=centers, distances=center_distances(vectors, centers))
 
 
 def _scores(model, cfg):
@@ -128,21 +128,20 @@ def _scores(model, cfg):
 
 def _frame_fixture():
     """4x4 frame, two clusters; pixel (1,1) exactly between them."""
-    h = w = 4
-    pixels = np.array([[0, 0], [0, 1], [1, 1], [2, 2], [2, 3]])
-    vectors = np.zeros((5, 5))
+    fg = np.zeros((4, 4), bool)
+    fg[0, 0] = fg[0, 1] = fg[1, 1] = fg[2, 2] = fg[2, 3] = True
+    vectors = np.zeros((5, 5))  # rows in raster order of fg
     vectors[0, 0] = 0.0
     vectors[1, 0] = 0.0
     vectors[2, 0] = 1.5  # midpoint
     vectors[3, 0] = 3.0
     vectors[4, 0] = 3.0
-    fe = ForegroundEmbeddings(pixels=pixels, vectors=vectors, height=h, width=w)
-    return fe, _model(fe, [[0.0, 0, 0, 0, 0], [3.0, 0, 0, 0, 0]])
+    return fg, vectors, _model(vectors, [[0.0, 0, 0, 0, 0], [3.0, 0, 0, 0, 0]])
 
 
 def test_build_instances_oracle():
-    fe, model = _frame_fixture()
-    inst = build_instances(fe, _scores(model, ResolveConfig()), ResolveConfig())
+    fg, _, model = _frame_fixture()
+    inst = build_instances(fg, _scores(model, ResolveConfig()), ResolveConfig())
     assert len(inst) == 2
     a = np.zeros((4, 4), bool)
     a[0, 0] = a[0, 1] = a[1, 1] = True
@@ -153,30 +152,28 @@ def test_build_instances_oracle():
 
 
 def test_build_instances_union_covers_foreground():
-    fe, model = _frame_fixture()
-    inst = build_instances(fe, _scores(model, ResolveConfig()), ResolveConfig())
-    fg = np.zeros((4, 4), bool)
-    fg[tuple(fe.pixels.T)] = True
+    fg, _, model = _frame_fixture()
+    inst = build_instances(fg, _scores(model, ResolveConfig()), ResolveConfig())
     np.testing.assert_array_equal(inst.union(), fg)
 
 
 def test_build_instances_tight_threshold_no_sharing():
     # a near-midpoint pixel (gap 0.2) is shared at the default threshold but
     # not once the allowed gap shrinks below it
-    fe, model = _frame_fixture()
-    fe.vectors[2, 0] = 1.4  # distances 1.4 vs 1.6
-    model = _model(fe, model.centers)
-    shared = build_instances(fe, _scores(model, ResolveConfig()), ResolveConfig())
+    fg, vectors, model = _frame_fixture()
+    vectors[2, 0] = 1.4  # distances 1.4 vs 1.6
+    model = _model(vectors, model.centers)
+    shared = build_instances(fg, _scores(model, ResolveConfig()), ResolveConfig())
     assert shared.overlap()[1, 1]
     cfg = ResolveConfig(threshold_a=0.501)
-    tight = build_instances(fe, _scores(model, cfg), cfg)
+    tight = build_instances(fg, _scores(model, cfg), cfg)
     assert not tight.overlap().any()
     np.testing.assert_array_equal(tight.union(), shared.union())
 
 
 def test_min_similarity_map():
-    fe, model = _frame_fixture()
-    sim = min_similarity(fe, _scores(model, ResolveConfig()))
+    fg, _, model = _frame_fixture()
+    sim = min_similarity(fg, _scores(model, ResolveConfig()))
     assert sim.shape == (4, 4)
     # background stays at the no-ambiguity value
     assert sim[3, 3] == 1.0
@@ -187,11 +184,9 @@ def test_min_similarity_map():
 
 
 def test_min_similarity_single_cluster_all_one():
-    pixels = np.array([[0, 0], [1, 1]])
-    vectors = np.zeros((2, 5))
-    fe = ForegroundEmbeddings(pixels=pixels, vectors=vectors, height=2, width=2)
-    model = _model(fe, np.zeros((1, 5)))
-    sim = min_similarity(fe, _scores(model, ResolveConfig()))
+    fg = np.eye(2, dtype=bool)
+    model = _model(np.zeros((2, 5)), np.zeros((1, 5)))
+    sim = min_similarity(fg, _scores(model, ResolveConfig()))
     assert np.all(sim == 1.0)
 
 
@@ -203,21 +198,19 @@ def test_overlap_matches_min_similarity(k):
     h = w = 8
     n = 40
     centers = rng.integers(-3, 4, size=(k, 5)).astype(float)
-    flat = rng.choice(h * w, size=n, replace=False)
-    pixels = np.stack([flat // w, flat % w], axis=1)
+    fg = np.zeros(h * w, dtype=bool)
+    fg[rng.choice(h * w, size=n, replace=False)] = True
+    fg = fg.reshape(h, w)
     vectors = centers[rng.integers(0, k, size=n)] + rng.normal(scale=1.0, size=(n, 5))
     # exact midpoints: integer centers give both distances bit-equal
     for p in range(0, n, 3):
         vectors[p] = (centers[p % k] + centers[(p + 1) % k]) / 2
-    fe = ForegroundEmbeddings(pixels=pixels, vectors=vectors, height=h, width=w)
-    model = _model(fe, centers)
-    fg = np.zeros((h, w), dtype=bool)
-    fg[pixels[:, 0], pixels[:, 1]] = True
+    model = _model(vectors, centers)
     for a in (0.55, 0.7, 0.9):
         cfg = ResolveConfig(beta=2.0, threshold_a=a)
         scores = _scores(model, cfg)
-        overlap = build_instances(fe, scores, cfg).overlap()
-        sim = min_similarity(fe, scores)
+        overlap = build_instances(fg, scores, cfg).overlap()
+        sim = min_similarity(fg, scores)
         np.testing.assert_array_equal(overlap[fg], sim[fg] < a)
         assert not overlap[~fg].any()
     if k > 1:
@@ -242,10 +235,11 @@ def test_build_instances_matches_resolve_pixel(data):
                         threshold_a=data.draw(st.floats(0.5, 1.0, exclude_min=True,
                                                         exclude_max=True)))
     w = 8
-    pixels = np.stack([np.arange(n) // w, np.arange(n) % w], axis=1)
-    fe = ForegroundEmbeddings(pixels=pixels, vectors=vectors, height=4, width=w)
-    model = _model(fe, centers)
-    inst = build_instances(fe, _scores(model, cfg), cfg)
+    pixels = np.stack([np.arange(n) // w, np.arange(n) % w], axis=1)  # raster order
+    fg = np.zeros((4, w), dtype=bool)
+    fg[pixels[:, 0], pixels[:, 1]] = True
+    model = _model(vectors, centers)
+    inst = build_instances(fg, _scores(model, cfg), cfg)
     assert len(inst) == k
     for (r, c), v in zip(pixels, vectors):
         owners = {m for m in range(k) if inst.masks[m][r, c]}

@@ -88,5 +88,7 @@ def test_traced_run_matches_untraced(monkeypatch, tracer):
     assert ap == want_ap
     assert t.counters["clustering.clusters"] == diag.clusters >= 2
     assert t.counters["pipeline.fg_pixels"] == diag.fg_pixels > 0
+    # the hook counts points with len() of mean_shift's first argument
+    assert t.counters["clustering.points"] == diag.fg_pixels
     assert t.calls["metrics.greedy_match_counts"] == 1
     assert t.calls["intersections.build_instances"] == t.calls["intersections.min_similarity"] == 1

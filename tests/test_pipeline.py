@@ -113,6 +113,19 @@ def test_empty_foreground_is_not_an_error():
     assert diag.fg_pixels == 0
 
 
+def test_non_finite_foreground_embedding_raises():
+    # a NaN under a background pixel is never read; one under a foreground
+    # pixel reaches mean shift, which rejects it
+    seg, emb, top, _ = _oracle_maps()
+    emb[0, 0] = np.nan
+    inst, _, _ = instances_from_maps(seg, emb, _cfg())
+    assert len(inst) == 2
+    emb[3, 5, 1] = np.nan
+    assert top[3, 5]
+    with pytest.raises(ValueError, match="must be finite"):
+        instances_from_maps(seg, emb, _cfg())
+
+
 def test_zero_network_degenerates_to_full_frame():
     zero = {k: np.zeros(s) for k, s in param_shapes().items()}
     image = np.random.default_rng(0).random((16, 16))
