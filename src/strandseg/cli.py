@@ -13,11 +13,11 @@ import sys
 
 import numpy as np
 
-from .config import (ConfigError, RunConfig, load_run_config, run_config_from_dict,
-                     run_config_to_dict)
+from .config import (ConfigError, RunConfig, load_run_config, read_json,
+                     run_config_from_dict, run_config_to_dict)
 from .formats import (atomic_write_bytes, read_pgm, read_tensors, write_pgm,
                       write_ppm, write_tensors)
-from .gradcheck import DEFAULT_TOL, run_suite
+from .gradcheck import run_suite
 from .metrics import evaluate_dataset
 from .network import EMB_DIM, PARAM_ORDER, TRUNK_CHANNELS, validate_params
 from .optim import DivergenceError
@@ -74,12 +74,7 @@ def _load_checkpoint(path) -> dict:
 
 def _load_dataset(dataset_dir) -> list:
     manifest_path = os.path.join(dataset_dir, "manifest.json")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        # a deeply nested document exhausts the decoder's recursion limit
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ConfigError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    manifest = read_json(manifest_path)
     entries = manifest.get("scenes", []) if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise ConfigError(f"{manifest_path}: expected an object with a \"scenes\" list")
@@ -208,8 +203,9 @@ def cmd_infer(args) -> int:
         print(f"warning: mean shift stopped at max_iterations "
               f"({pipe.mean_shift.max_iterations}) with starts still moving; "
               f"clusters may be unreliable", file=sys.stderr)
-    if diag.fg_pixels >= 2 and diag.clusters == diag.fg_pixels:
-        print(f"warning: each of the {diag.fg_pixels} foreground pixels is its own cluster; "
+    singletons = int((instances.masks.sum(axis=(1, 2)) == 1).sum())
+    if len(instances) >= 2 and 2 * singletons >= len(instances):
+        print(f"warning: {singletons} of the {len(instances)} clusters are single pixels; "
               f"the checkpoint's embeddings may be degenerate", file=sys.stderr)
     print(f"{len(instances)} instance(s), {diag.multi_assigned_pixels} "
           f"multi-assigned pixel(s); outputs in {args.out}")
@@ -228,8 +224,7 @@ def cmd_gradcheck(args) -> int:
     def progress(k, worst_disc, worst_total):
         print(f"fixture {k:2d}  disc {worst_disc:.3e}  total {worst_total:.3e}")
 
-    report = run_suite(seed=args.seed if args.seed is not None else 0,
-                       fixtures=args.fixtures, progress=progress)
+    report = run_suite(seed=args.seed, fixtures=args.fixtures, progress=progress)
     print(f"max relative error: discriminative {report['max_rel_err_disc']:.3e}, "
           f"total {report['max_rel_err_total']:.3e} (tol {report['tol']:.0e})")
     if not report["passed"]:
@@ -249,11 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Instance segmentation of thin crossing strands via pixel embeddings.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", help="JSON run config path")
         p.add_argument("--seed", type=int, help="override the config seed")
-        if out_required:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     def pipeline_overrides(p):
         p.add_argument("--threshold-a", type=float, dest="threshold_a")

@@ -115,14 +115,19 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def load_run_config(path) -> RunConfig:
-    """Read and validate a JSON run config; ConfigError on bad content."""
+def read_json(path):
+    """The JSON document in a file; ConfigError naming the file when it does not parse."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         # a deeply nested document exhausts the decoder's recursion limit
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def load_run_config(path) -> RunConfig:
+    """Read and validate a JSON run config; ConfigError on bad content."""
+    doc = read_json(path)
     try:
         return run_config_from_dict(doc)
     except ConfigError as exc:

@@ -37,38 +37,33 @@ def _hinge_margins_ok(vectors, ids, cfg: LossConfig, margin: float) -> bool:
     return not (np.abs(near) < margin).any()
 
 
-def make_fixture(seed: int, size: int = 16, cfg: LossConfig | None = None,
-                 margin: float = 5 * DEFAULT_STEP):
-    """Random (params, image, labels) with all loss hinges margin-clear.
+def make_fixture(seed: int):
+    """Random 16x16 (params, image, labels) with all loss hinges margin-clear.
 
     Labels live at head resolution with 2-3 instances plus background; the
     seed walks forward until the network's own embeddings on the fixture
-    keep every hinge argument away from its kink.
+    keep every hinge argument at least 5 steps away from its kink.
     """
-    cfg = cfg or LossConfig()
-    half = size // 2
     attempt_seed = seed
     while True:
         rng = np.random.default_rng(attempt_seed)
         n_inst = int(rng.integers(2, 4))
-        labels = rng.integers(0, n_inst + 1, size=(half, half))
+        labels = rng.integers(0, n_inst + 1, size=(8, 8))
         params = init_params(attempt_seed)
-        image = rng.random((size, size))
+        image = rng.random((16, 16))
         present = np.unique(labels[labels > 0])
         if len(present) == n_inst:
             _, emb, _ = forward_full(params, image)
             fg = labels > 0
-            if _hinge_margins_ok(emb[fg], labels[fg], cfg, margin):
+            if _hinge_margins_ok(emb[fg], labels[fg], LossConfig(), 5 * DEFAULT_STEP):
                 return params, image, labels
         attempt_seed += 1000003
 
 
-def check_discriminative(seed: int, n_points: int = 40, dim: int = 3,
-                         cfg: LossConfig | None = None,
-                         step: float = DEFAULT_STEP) -> float:
-    """Max relative FD error of the discriminative loss over a random
-    embedding field; returns the worst entry."""
-    cfg = cfg or LossConfig()
+def check_discriminative(seed: int) -> float:
+    """Max relative FD error of the discriminative loss over a random field
+    of 40 embedding vectors in 3 dimensions; returns the worst entry."""
+    n_points, dim, cfg, step = 40, 3, LossConfig(), DEFAULT_STEP
     attempt_seed = seed
     while True:
         rng = np.random.default_rng(attempt_seed)
@@ -101,11 +96,10 @@ def check_discriminative(seed: int, n_points: int = 40, dim: int = 3,
     return worst
 
 
-def check_total(params, image, labels, cfg: LossConfig | None = None,
-                step: float = DEFAULT_STEP) -> float:
+def check_total(params, image, labels) -> float:
     """Max relative FD error of total_loss_and_grad's gradients against
     central differences of total_loss, over every parameter entry."""
-    cfg = cfg or LossConfig()
+    cfg, step = LossConfig(), DEFAULT_STEP
     seg_target = labels > 0
     _, grads, _ = total_loss_and_grad(params, image, seg_target, labels, cfg)
     worst = 0.0
@@ -124,29 +118,27 @@ def check_total(params, image, labels, cfg: LossConfig | None = None,
     return worst
 
 
-def run_suite(seed: int = 0, fixtures: int = 10, step: float = DEFAULT_STEP,
-              tol: float = DEFAULT_TOL, progress=None) -> dict:
+def run_suite(seed: int = 0, fixtures: int = 10, progress=None) -> dict:
     """The full check: `fixtures` random 16x16 fixtures, all parameters.
 
-    Returns {"max_rel_err_disc", "max_rel_err_total", "fixtures", "tol",
-    "passed"}. Raises ValueError when `fixtures` < 1, which would check nothing.
+    Returns {"max_rel_err_disc", "max_rel_err_total", "fixtures", "step",
+    "tol", "passed"}. Raises ValueError when `fixtures` < 1, which would check nothing.
     """
     if fixtures < 1:
         raise ValueError("fixtures must be >= 1")
-    cfg = LossConfig()
     worst_disc = 0.0
     worst_total = 0.0
     for k in range(fixtures):
-        worst_disc = max(worst_disc, check_discriminative(seed + 17 * k, cfg=cfg, step=step))
-        params, image, labels = make_fixture(seed + 17 * k + 1, cfg=cfg)
-        worst_total = max(worst_total, check_total(params, image, labels, cfg, step=step))
+        worst_disc = max(worst_disc, check_discriminative(seed + 17 * k))
+        params, image, labels = make_fixture(seed + 17 * k + 1)
+        worst_total = max(worst_total, check_total(params, image, labels))
         if progress is not None:
             progress(k, worst_disc, worst_total)
     return {
         "fixtures": fixtures,
-        "step": step,
-        "tol": tol,
+        "step": DEFAULT_STEP,
+        "tol": DEFAULT_TOL,
         "max_rel_err_disc": worst_disc,
         "max_rel_err_total": worst_total,
-        "passed": bool(worst_disc <= tol and worst_total <= tol),
+        "passed": bool(worst_disc <= DEFAULT_TOL and worst_total <= DEFAULT_TOL),
     }

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def validate_image(image: np.ndarray, name: str = "image") -> np.ndarray:
+def validate_image(image: np.ndarray) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2 or image.shape[0] < 1 or image.shape[1] < 1:
-        raise ValueError(f"{name} must be a nonempty 2-d grid, got shape {image.shape}")
+        raise ValueError(f"image must be a nonempty 2-d grid, got shape {image.shape}")
     return image
 
 

@@ -87,25 +87,20 @@ def greedy_match_counts(pred: InstanceSet, gt: InstanceSet, thresholds) -> list:
     return counts
 
 
-def _precision(tp, fp, n_gt):
-    if tp + fp > 0:
-        return tp / (tp + fp)
-    return 1.0 if n_gt == 0 else 0.0
+def _ap_ar(tp, fp, fn):
+    """(precision, recall); with no predictions precision is 1.0 exactly when
+    there is no truth either, and recall mirrors it."""
+    ap = tp / (tp + fp) if tp + fp else float(fn == 0)
+    ar = tp / (tp + fn) if tp + fn else float(fp == 0)
+    return ap, ar
 
 
-def _recall(tp, fn, n_pred):
-    if tp + fn > 0:
-        return tp / (tp + fn)
-    return 1.0 if n_pred == 0 else 0.0
-
-
-def instance_ap_ar(pred: InstanceSet, gt: InstanceSet, thresholds=THRESHOLDS) -> dict:
-    """Single-image AP/AR sweep; returns per-threshold rows plus the means."""
+def instance_ap_ar(pred: InstanceSet, gt: InstanceSet) -> dict:
+    """Single-image AP/AR sweep over THRESHOLDS; returns per-threshold rows plus the means."""
     rows = []
-    for t, (tp, fp, fn) in zip(thresholds, greedy_match_counts(pred, gt, thresholds)):
-        rows.append({"t": t, "ap": _precision(tp, fp, len(gt)),
-                     "ar": _recall(tp, fn, len(pred)),
-                     "tp": tp, "fp": fp, "fn": fn})
+    for t, (tp, fp, fn) in zip(THRESHOLDS, greedy_match_counts(pred, gt, THRESHOLDS)):
+        ap, ar = _ap_ar(tp, fp, fn)
+        rows.append({"t": t, "ap": ap, "ar": ar, "tp": tp, "fp": fp, "fn": fn})
     return {
         "ap": float(np.mean([r["ap"] for r in rows])),
         "ar": float(np.mean([r["ar"] for r in rows])),
@@ -130,8 +125,7 @@ class MetricReport:
         return asdict(self)
 
 
-def evaluate_dataset(pred_instances, gt_instances, pred_fg, gt_fg,
-                     thresholds=THRESHOLDS) -> MetricReport:
+def evaluate_dataset(pred_instances, gt_instances, pred_fg, gt_fg) -> MetricReport:
     """Micro-averaged report over parallel lists of predictions and truths.
 
     pred_fg / gt_fg are the per-image semantic (foreground) masks; semantic
@@ -141,7 +135,7 @@ def evaluate_dataset(pred_instances, gt_instances, pred_fg, gt_fg,
     if not (n == len(gt_instances) == len(pred_fg) == len(gt_fg)):
         raise ValueError("prediction and ground-truth lists must align")
     inter = union = pred_area = gt_area = 0
-    tallies = {t: [0, 0, 0] for t in thresholds}
+    tallies = {t: [0, 0, 0] for t in THRESHOLDS}
     image_aps, image_ars = [], []
     for pi, gi, pf, gf in zip(pred_instances, gt_instances, pred_fg, gt_fg):
         pf, gf = _as_mask_pair(pf, gf)
@@ -149,7 +143,7 @@ def evaluate_dataset(pred_instances, gt_instances, pred_fg, gt_fg,
         union += int((pf | gf).sum())
         pred_area += int(pf.sum())
         gt_area += int(gf.sum())
-        single = instance_ap_ar(pi, gi, thresholds)
+        single = instance_ap_ar(pi, gi)
         image_aps.append(single["ap"])
         image_ars.append(single["ar"])
         for row in single["per_threshold"]:
@@ -160,18 +154,17 @@ def evaluate_dataset(pred_instances, gt_instances, pred_fg, gt_fg,
 
     per_threshold = []
     counts = {}
-    for t in thresholds:
+    for t in THRESHOLDS:
         tp, fp, fn = tallies[t]
-        ap_t = _precision(tp, fp, n_gt=tp + fn)
-        ar_t = _recall(tp, fn, n_pred=tp + fp)
+        ap_t, ar_t = _ap_ar(tp, fp, fn)
         per_threshold.append({"t": t, "ap": ap_t, "ar": ar_t})
         counts[f"{t:.2f}"] = {"tp": tp, "fp": fp, "fn": fn}
 
     return MetricReport(
         iou=inter / union if union else 1.0,
         dice=2.0 * inter / (pred_area + gt_area) if (pred_area + gt_area) else 1.0,
-        ap=float(np.mean([r["ap"] for r in per_threshold])) if per_threshold else 1.0,
-        ar=float(np.mean([r["ar"] for r in per_threshold])) if per_threshold else 1.0,
+        ap=float(np.mean([r["ap"] for r in per_threshold])),
+        ar=float(np.mean([r["ar"] for r in per_threshold])),
         per_threshold=per_threshold,
         counts=counts,
         macro_ap=float(np.mean(image_aps)) if image_aps else 1.0,

@@ -51,26 +51,26 @@ PARAM_ORDER = (
 )
 
 
-def param_shapes(channels: int = TRUNK_CHANNELS, emb_dim: int = EMB_DIM) -> dict:
+def param_shapes() -> dict:
     return {
-        "conv1_w": (3, 3, 1, channels),
-        "conv1_b": (channels,),
-        "conv2_w": (3, 3, channels, channels),
-        "conv2_b": (channels,),
-        "conv3_w": (3, 3, channels, channels),
-        "conv3_b": (channels,),
-        "seg_w": (channels, 1),
+        "conv1_w": (3, 3, 1, TRUNK_CHANNELS),
+        "conv1_b": (TRUNK_CHANNELS,),
+        "conv2_w": (3, 3, TRUNK_CHANNELS, TRUNK_CHANNELS),
+        "conv2_b": (TRUNK_CHANNELS,),
+        "conv3_w": (3, 3, TRUNK_CHANNELS, TRUNK_CHANNELS),
+        "conv3_b": (TRUNK_CHANNELS,),
+        "seg_w": (TRUNK_CHANNELS, 1),
         "seg_b": (1,),
-        "emb_w": (channels, emb_dim),
-        "emb_b": (emb_dim,),
+        "emb_w": (TRUNK_CHANNELS, EMB_DIM),
+        "emb_b": (EMB_DIM,),
     }
 
 
-def init_params(seed: int, channels: int = TRUNK_CHANNELS, emb_dim: int = EMB_DIM) -> dict:
+def init_params(seed: int) -> dict:
     """Seeded uniform fan-in initialization: U(-1/sqrt(fan_in), +1/sqrt(fan_in)),
     biases drawn with the bound of their weight tensor."""
     rng = np.random.default_rng(seed)
-    shapes = param_shapes(channels, emb_dim)
+    shapes = param_shapes()
     params = {}
     for name in PARAM_ORDER:
         shape = shapes[name]
@@ -84,9 +84,8 @@ def init_params(seed: int, channels: int = TRUNK_CHANNELS, emb_dim: int = EMB_DI
     return params
 
 
-def validate_params(params: dict, channels: int = TRUNK_CHANNELS, emb_dim: int = EMB_DIM):
-    shapes = param_shapes(channels, emb_dim)
-    for name, shape in shapes.items():
+def validate_params(params: dict):
+    for name, shape in param_shapes().items():
         if name not in params:
             raise ValueError(f"missing parameter {name!r}")
         got = np.asarray(params[name]).shape
@@ -230,19 +229,20 @@ class LossConfig:
                 raise ValueError(f"{name} must be >= 0")
 
 
-def dice_loss(prob: np.ndarray, target: np.ndarray, eps: float = DICE_EPS) -> float:
-    """1 - (2*sum(p*t) + eps) / (sum(p) + sum(t) + eps); eps rescues empty/empty."""
-    loss, _ = _dice_loss_grad(prob, target, eps)
+def dice_loss(prob: np.ndarray, target: np.ndarray) -> float:
+    """1 - (2*sum(p*t) + eps) / (sum(p) + sum(t) + eps) with eps = DICE_EPS,
+    which rescues empty/empty."""
+    loss, _ = _dice_loss_grad(prob, target)
     return loss
 
 
-def _dice_loss_grad(prob, target, eps=DICE_EPS):
+def _dice_loss_grad(prob, target):
     prob = np.asarray(prob, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if prob.shape != target.shape:
         raise ValueError(f"prob {prob.shape} and target {target.shape} shapes differ")
-    num = 2.0 * float((prob * target).sum()) + eps
-    den = float(prob.sum()) + float(target.sum()) + eps
+    num = 2.0 * float((prob * target).sum()) + DICE_EPS
+    den = float(prob.sum()) + float(target.sum()) + DICE_EPS
     loss = 1.0 - num / den
     grad = (num - 2.0 * target * den) / (den * den)
     return loss, grad

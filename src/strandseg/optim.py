@@ -33,6 +33,8 @@ class OptimConfig:
             raise ValueError("batch_size must be >= 1")
         if not self.epochs >= 0:
             raise ValueError("epochs must be >= 0")
+        if not self.eps > 0:
+            raise ValueError("eps must be > 0")
 
 
 def init_adam_state(params: dict) -> dict:

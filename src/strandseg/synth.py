@@ -162,6 +162,8 @@ class SceneSpec:
             raise ValueError("noise_sigma must be >= 0")
         if not self.control_points >= 2:
             raise ValueError("control_points must be >= 2")
+        if not self.max_attempts >= 1:
+            raise ValueError("max_attempts must be >= 1")
 
 
 @dataclass

@@ -360,9 +360,24 @@ def test_infer_warns_when_every_pixel_is_its_own_cluster(tmp_path, capsys):
     scaled = tmp_path / "scaled.segt"
     write_tensors(scaled, params)
     assert main(["infer", "--checkpoint", str(scaled)] + args) == 0
-    assert "foreground pixels is its own cluster" in capsys.readouterr().err
+    assert "clusters are single pixels" in capsys.readouterr().err
     diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
     assert diag["clusters"] == diag["fg_pixels"] >= 2
+
+
+def test_infer_warns_when_most_clusters_are_single_pixels(tmp_path, capsys):
+    # saturated weights: a few pixels still share a cluster, the rest are alone
+    params = read_tensors(DESK_CHECKPOINT)
+    saturated = tmp_path / "saturated.segt"
+    write_tensors(saturated, {name: np.sign(arr) * np.float32(3.4e38)
+                              for name, arr in params.items()})
+    image = tmp_path / "scene.pgm"
+    write_pgm(image, generate_scene(SceneSpec(), 1).image)
+    assert main(["infer", "--checkpoint", str(saturated), "--image", str(image),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "clusters are single pixels" in capsys.readouterr().err
+    diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    assert 2 <= diag["clusters"] < diag["fg_pixels"]
 
 
 @pytest.mark.parametrize("flag,value", [("--bandwidth", "nan"), ("--bandwidth", "inf"),

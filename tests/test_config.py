@@ -70,11 +70,12 @@ RANGE_CASES = [
     ("scene", "curves_max", 1), ("scene", "stroke_min", 0.0), ("scene", "stroke_max", 1.0),
     ("scene", "intensity_min", -0.1), ("scene", "intensity_max", 0.5),
     ("scene", "intensity_max", 1.5), ("scene", "noise_sigma", -0.1),
-    ("scene", "control_points", 1),
+    ("scene", "control_points", 1), ("scene", "max_attempts", 0),
     ("loss", "delta_v", 0.0), ("loss", "delta_d", 1.0), ("loss", "w_var", -1.0),
     ("loss", "w_dist", -1.0), ("loss", "w_dice", -1.0), ("loss", "w_disc", -1.0),
     ("optim", "learning_rate", 0.0), ("optim", "beta1", 1.0), ("optim", "beta2", -0.1),
     ("optim", "weight_decay", -1.0), ("optim", "batch_size", 0), ("optim", "epochs", -1),
+    ("optim", "eps", 0.0),
     ("mean_shift", "bandwidth", 0.0), ("mean_shift", "merge_radius", 0.0),
     ("mean_shift", "convergence_tol", 0.0), ("mean_shift", "seed_cap", 0),
     ("mean_shift", "max_iterations", 0), ("mean_shift", "rng_seed", -1),
