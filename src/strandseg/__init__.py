@@ -17,16 +17,16 @@ from .intersections import (ResolveConfig, build_instances, min_similarity,
 from .metrics import (THRESHOLDS, MetricReport, connected_components,
                       evaluate_dataset, greedy_match_counts, instance_ap_ar,
                       mask_dice, mask_iou)
-from .network import (LossConfig, dice_loss, discriminative_loss, forward,
-                      init_params, total_loss_and_grad)
+from .network import (LossConfig, discriminative_loss, forward, init_params,
+                      total_loss_and_grad)
 from .optim import DivergenceError, OptimConfig, adamw_step, init_adam_state
 from .pipeline import (Diagnostics, PipelineConfig, infer, infer_cc_baseline,
                        instances_from_maps)
 from .render import MULTI_COLOR, PALETTE, render_overlay
 from .synth import (GenerationError, InstanceSet, PolylineAnnotation, Scene,
                     SceneSpec, annotations_to_document, annotations_to_instances,
-                    generate_scene, make_training_labels, parse_annotations,
-                    rasterize_polyline, scene_seeds)
+                    generate_scene, make_training_labels, rasterize_polyline,
+                    scene_seeds)
 from .training import TrainResult, downsample_labels, train
 
 __version__ = "0.1.0"

@@ -38,10 +38,17 @@ def _mask_entries(instances: InstanceSet) -> dict:
             for k, m in enumerate(instances.masks)}
 
 
+def _read_image(path) -> np.ndarray:
+    try:
+        return read_pgm(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _read_instances(path, height: int, width: int) -> InstanceSet:
     """The masks of a container, which must have its image's dimensions."""
-    entries = read_tensors(path)
     try:
+        entries = read_tensors(path)
         return InstanceSet(height, width, [entries[name] >= 0.5 for name in sorted(entries)])
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -63,9 +70,9 @@ def _load_config(args) -> RunConfig:
 
 
 def _load_checkpoint(path) -> dict:
-    entries = read_tensors(path)
-    params = {name: np.asarray(arr, dtype=np.float64) for name, arr in entries.items()}
     try:
+        entries = read_tensors(path)
+        params = {name: np.asarray(arr, dtype=np.float64) for name, arr in entries.items()}
         validate_params(params)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -84,7 +91,7 @@ def _load_dataset(dataset_dir) -> list:
                 and isinstance(entry.get("masks"), str)):
             raise ConfigError(f"{manifest_path}: scene entry {i} needs string "
                               "\"image\" and \"masks\" paths")
-        image = read_pgm(os.path.join(dataset_dir, entry["image"]))
+        image = _read_image(os.path.join(dataset_dir, entry["image"]))
         masks_path = os.path.join(dataset_dir, entry["masks"])
         scenes.append(Scene(image, _read_instances(masks_path, *image.shape)))
     return scenes
@@ -191,7 +198,7 @@ def cmd_eval(args) -> int:
 def cmd_infer(args) -> int:
     pipe = _load_config(args).pipeline
     params = _load_checkpoint(args.checkpoint)
-    image = read_pgm(args.image)
+    image = _read_image(args.image)
     instances, fg, diag = infer(params, image, pipe)
     os.makedirs(args.out, exist_ok=True)
     write_tensors(os.path.join(args.out, "instances.segt"), _mask_entries(instances))
@@ -213,7 +220,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_render(args) -> int:
-    image = read_pgm(args.image)
+    image = _read_image(args.image)
     instances = _read_instances(args.masks, *image.shape)
     write_ppm(args.out, render_overlay(image, instances))
     print(f"overlay written to {args.out}")

@@ -173,7 +173,7 @@ def decode_tensors(data: bytes) -> dict[str, np.ndarray]:
                 raise ValueError(f"duplicate tensor name {name!r}")
             entries[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     except struct.error as exc:
-        raise ValueError(f"truncated container header: {exc}") from exc
+        raise ValueError("truncated container header") from exc
     if pos != len(data):
         raise ValueError("trailing bytes after last tensor")
     return entries

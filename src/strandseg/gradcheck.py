@@ -100,8 +100,7 @@ def check_total(params, image, labels) -> float:
     """Max relative FD error of total_loss_and_grad's gradients against
     central differences of total_loss, over every parameter entry."""
     cfg, step = LossConfig(), DEFAULT_STEP
-    seg_target = labels > 0
-    _, grads, _ = total_loss_and_grad(params, image, seg_target, labels, cfg)
+    _, grads, _ = total_loss_and_grad(params, image, labels, cfg)
     worst = 0.0
     for name in PARAM_ORDER:
         theta = params[name]
@@ -110,9 +109,9 @@ def check_total(params, image, labels) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi, _ = total_loss(params, image, seg_target, labels, cfg)
+            hi, _ = total_loss(params, image, labels, cfg)
             flat[i] = orig - step
-            lo, _ = total_loss(params, image, seg_target, labels, cfg)
+            lo, _ = total_loss(params, image, labels, cfg)
             flat[i] = orig
             worst = max(worst, rel_err(g_flat[i], (hi - lo) / (2 * step)))
     return worst

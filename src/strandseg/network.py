@@ -128,13 +128,6 @@ def _conv_input_grad(x, w, stride, g_out):
     return gpad[1:-1, 1:-1, :]
 
 
-def _conv_backward(x, w, stride, g_out):
-    """Gradients of a padded 3x3 convolution; returns (g_x, g_w, g_b)."""
-    # In this order: with g_x formed first, the pair took twice as long at 64 px.
-    g_w, g_b = _conv_param_grads(x, w, stride, g_out)
-    return _conv_input_grad(x, w, stride, g_out), g_w, g_b
-
-
 def _sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0
@@ -194,11 +187,14 @@ def backward(params: dict, cache: dict, g_seg_prob: np.ndarray, g_emb: np.ndarra
     }
     g_a3 = g_logits @ params["seg_w"].T + g_emb @ params["emb_w"].T
     g_z3 = g_a3 * (1.0 - a3 * a3)
-    g_a2, grads["conv3_w"], grads["conv3_b"] = _conv_backward(
+    # g_w before g_x: with g_x formed first, the pair took twice as long at 64 px.
+    grads["conv3_w"], grads["conv3_b"] = _conv_param_grads(
         cache["a2"], params["conv3_w"], 1, g_z3)
+    g_a2 = _conv_input_grad(cache["a2"], params["conv3_w"], 1, g_z3)
     g_z2 = g_a2 * (1.0 - cache["a2"] ** 2)
-    g_a1, grads["conv2_w"], grads["conv2_b"] = _conv_backward(
+    grads["conv2_w"], grads["conv2_b"] = _conv_param_grads(
         cache["a1"], params["conv2_w"], 2, g_z2)
+    g_a1 = _conv_input_grad(cache["a1"], params["conv2_w"], 2, g_z2)
     g_z1 = g_a1 * (1.0 - cache["a1"] ** 2)
     # Nothing reads the gradient with respect to the input image.
     grads["conv1_w"], grads["conv1_b"] = _conv_param_grads(
@@ -229,14 +225,9 @@ class LossConfig:
                 raise ValueError(f"{name} must be >= 0")
 
 
-def dice_loss(prob: np.ndarray, target: np.ndarray) -> float:
-    """1 - (2*sum(p*t) + eps) / (sum(p) + sum(t) + eps) with eps = DICE_EPS,
-    which rescues empty/empty."""
-    loss, _ = _dice_loss_grad(prob, target)
-    return loss
-
-
 def _dice_loss_grad(prob, target):
+    """Dice loss 1 - (2*sum(p*t) + eps) / (sum(p) + sum(t) + eps) with
+    eps = DICE_EPS, which rescues empty/empty; returns (loss, d loss / d prob)."""
     prob = np.asarray(prob, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if prob.shape != target.shape:
@@ -324,41 +315,37 @@ def _discriminative_flat(vectors, ids, cfg: LossConfig):
     return cfg.w_var * l_var + cfg.w_dist * l_dist, grad
 
 
-def _objective(params, image, seg_target, instance_labels, cfg: LossConfig):
+def _objective(params, image, instance_labels, cfg: LossConfig):
     """Forward pass and weighted loss; returns (loss, parts, cache, d_dice, d_disc)."""
     seg_prob, emb, cache = forward_full(params, image)
-    seg_target = np.asarray(seg_target)
     instance_labels = np.asarray(instance_labels)
-    if seg_target.shape != seg_prob.shape:
-        raise ValueError(f"seg_target {seg_target.shape} must be {seg_prob.shape}")
     if instance_labels.shape != seg_prob.shape:
         raise ValueError(f"instance_labels {instance_labels.shape} must be {seg_prob.shape}")
 
-    dice, d_dice = _dice_loss_grad(seg_prob, seg_target.astype(np.float64))
+    dice, d_dice = _dice_loss_grad(seg_prob, (instance_labels > 0).astype(np.float64))
     disc, d_disc = discriminative_loss(emb, instance_labels, cfg)
     loss = cfg.w_dice * dice + cfg.w_disc * disc
     return loss, {"dice": dice, "disc": disc}, cache, d_dice, d_disc
 
 
-def total_loss(params: dict, image: np.ndarray, seg_target: np.ndarray,
-               instance_labels: np.ndarray, cfg: LossConfig):
+def total_loss(params: dict, image: np.ndarray, instance_labels: np.ndarray,
+               cfg: LossConfig):
     """The training objective's value, without the backward pass.
 
-    seg_target (binary) and instance_labels (0 = background) live at head
-    resolution, i.e. half the image dims. Returns (loss, parts) with
-    parts = {"dice": ..., "disc": ...} for logging.
+    instance_labels (0 = background) live at head resolution, i.e. half the
+    image dims; the Dice target is their foreground, instance_labels > 0.
+    Returns (loss, parts) with parts = {"dice": ..., "disc": ...} for logging.
     """
-    loss, parts, *_ = _objective(params, image, seg_target, instance_labels, cfg)
+    loss, parts, *_ = _objective(params, image, instance_labels, cfg)
     return loss, parts
 
 
-def total_loss_and_grad(params: dict, image: np.ndarray, seg_target: np.ndarray,
-                        instance_labels: np.ndarray, cfg: LossConfig):
+def total_loss_and_grad(params: dict, image: np.ndarray, instance_labels: np.ndarray,
+                        cfg: LossConfig):
     """`total_loss` plus its exact parameter gradients.
 
     Returns (loss, grads, parts); loss and parts equal `total_loss`'s.
     """
-    loss, parts, cache, d_dice, d_disc = _objective(params, image, seg_target,
-                                                    instance_labels, cfg)
+    loss, parts, cache, d_dice, d_disc = _objective(params, image, instance_labels, cfg)
     grads = backward(params, cache, cfg.w_dice * d_dice, cfg.w_disc * d_disc)
     return loss, grads, parts

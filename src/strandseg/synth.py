@@ -6,7 +6,7 @@ overlap, image intensity is the max of the contributors, so crossings carry
 no brightness cue about ordering.
 
 Annotations use image coordinates with `points` as (x, y) = (column, row)
-pairs, matching the JSON annotation documents this package reads and writes:
+pairs, matching the JSON annotation documents this package writes:
 
     {"height": H, "width": W,
      "instances": [{"points": [[x0, y0], [x1, y1], ...], "width": w}, ...]}
@@ -175,20 +175,17 @@ class Scene:
 
 def _line_rect_span(anchor, direction, width, height):
     # Parameter range t for which anchor + t*direction stays inside the
-    # pixel-center rectangle [0, W-1] x [0, H-1] (slab intersection).
+    # pixel-center rectangle [0, W-1] x [0, H-1] (slab intersection); finite
+    # and around 0, as the anchor is inside and the direction a unit vector.
     t_lo, t_hi = -np.inf, np.inf
     for coord, d, hi in ((anchor[0], direction[0], width - 1),
                          (anchor[1], direction[1], height - 1)):
         if abs(d) < 1e-12:
-            if coord < 0 or coord > hi:
-                return None
             continue
         a = (0 - coord) / d
         b = (hi - coord) / d
         t_lo = max(t_lo, min(a, b))
         t_hi = min(t_hi, max(a, b))
-    if not np.isfinite(t_lo) or not np.isfinite(t_hi) or t_hi <= t_lo:
-        return None
     return t_lo, t_hi
 
 
@@ -201,10 +198,8 @@ def _sample_polyline(rng, spec: SceneSpec, base_angle: float) -> np.ndarray:
         rng.uniform(0.3 * (w - 1), 0.7 * (w - 1)),
         rng.uniform(0.3 * (h - 1), 0.7 * (h - 1)),
     ])
-    span = _line_rect_span(anchor, direction, w, h)
-    if span is None:  # pragma: no cover - central anchor always intersects
-        raise GenerationError("strand chord missed the image rectangle")
-    ts = np.linspace(span[0], span[1], spec.control_points)
+    t_lo, t_hi = _line_rect_span(anchor, direction, w, h)
+    ts = np.linspace(t_lo, t_hi, spec.control_points)
     base = anchor[None, :] + ts[:, None] * direction[None, :]
 
     # Smooth perpendicular wander, pinned to zero at both endpoints so the
@@ -250,11 +245,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
         ok = True
         for i in range(n):
             base_angle = (order[i] + 0.5) * np.pi / n
-            try:
-                pts = _sample_polyline(rng, spec, base_angle)
-            except GenerationError:
-                ok = False
-                break
+            pts = _sample_polyline(rng, spec, base_angle)
             stroke = rng.uniform(spec.stroke_min, spec.stroke_max)
             # One distance field per strand: reach r holds the mask, and the
             # extra pixel of reach the antialiasing ramp at the stroke border,
@@ -308,9 +299,10 @@ def make_training_labels(instances: InstanceSet, rng) -> np.ndarray:
     counts = masks.sum(axis=0)
     single = counts == 1
     labels[single] = masks[:, single].argmax(axis=0) + 1
-    for y, x in np.argwhere(counts >= 2):
-        claimants = np.flatnonzero(masks[:, y, x])
-        labels[y, x] = int(rng.choice(claimants)) + 1
+    # rng.choice's draws, one per crossing pixel in raster order; each picks the draw-th claimant
+    shared = counts >= 2
+    draw = rng.integers(0, counts[shared])
+    labels[shared] = (masks[:, shared].cumsum(axis=0) > draw).argmax(axis=0) + 1
     return labels
 
 
@@ -325,37 +317,6 @@ def annotations_to_document(height, width, annotations) -> dict:
             for ann in annotations
         ],
     }
-
-
-def parse_annotations(doc: dict):
-    """Validate an annotation document; returns (height, width, annotations).
-
-    Raises ValueError on any structural problem: missing keys, non-positive
-    dimensions, polylines with fewer than two vertices, or bad widths.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"annotation document must be an object, got {type(doc).__name__}")
-    for key in ("height", "width", "instances"):
-        if key not in doc:
-            raise ValueError(f"annotation document missing key {key!r}")
-    height, width = doc["height"], doc["width"]
-    if not (isinstance(height, int) and isinstance(width, int)) or height < 1 or width < 1:
-        raise ValueError(f"height/width must be positive integers, got {height!r}/{width!r}")
-    if not isinstance(doc["instances"], list):
-        raise ValueError("instances must be a list")
-    annotations = []
-    for k, entry in enumerate(doc["instances"]):
-        if not isinstance(entry, dict) or "points" not in entry or "width" not in entry:
-            raise ValueError(f"instance {k} must have 'points' and 'width'")
-        try:
-            ann = PolylineAnnotation(
-                points=np.asarray(entry["points"], dtype=np.float64),
-                width=float(entry["width"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"instance {k}: {exc}") from exc
-        annotations.append(ann)
-    return height, width, annotations
 
 
 def annotations_to_instances(height, width, annotations) -> InstanceSet:

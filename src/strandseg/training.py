@@ -53,13 +53,12 @@ def downsample_labels(labels: np.ndarray) -> np.ndarray:
 
 
 def _sample_inputs(scene: Scene, label_seed: int, augment_params=None, augment_seed: int = 0):
-    """(image, seg_target, labels_half): one scene as the objective takes it."""
+    """(image, labels_half): one scene as the objective takes it."""
     image, instances = scene.image, scene.instances
     if augment_params is not None:
         image, instances = augment(image, instances, augment_params, augment_seed)
     labels = make_training_labels(instances, np.random.default_rng(label_seed))
-    labels_half = downsample_labels(labels)
-    return image, labels_half > 0, labels_half
+    return image, downsample_labels(labels)
 
 
 def train(train_scenes, val_scenes, loss_cfg: LossConfig, optim_cfg: OptimConfig,

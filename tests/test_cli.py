@@ -334,6 +334,26 @@ def infer_args(tmp_path):
             "--out", str(tmp_path / "out")]
 
 
+def test_truncated_files_exit_2_naming_the_file(tmp_path, infer_args, capsys):
+    ckpt, image = infer_args[2], infer_args[4]
+    masks = str(tmp_path / "masks.segt")
+    write_tensors(masks, {"mask_000": np.ones((32, 32), np.float32)})
+    render_args = ["render", "--image", image, "--masks", masks,
+                   "--out", str(tmp_path / "overlay.ppm")]
+    for path, keep, argv in ((ckpt, 4, infer_args), (image, 100, infer_args),
+                             (masks, 12, render_args)):
+        with open(path, "rb") as fh:
+            whole = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(whole[:keep])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: truncated"), err
+        assert "unpack_from" not in err and "Traceback" not in err
+        with open(path, "wb") as fh:
+            fh.write(whole)
+
+
 def test_infer_warns_when_mean_shift_hits_iteration_cap(tmp_path, infer_args, capsys):
     assert main(infer_args) == 0
     assert "warning" not in capsys.readouterr().err

@@ -7,11 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import strandseg.gradcheck as gc
-from strandseg.network import (LossConfig, PARAM_ORDER, _conv_backward,
-                               _discriminative_flat, dice_loss,
-                               discriminative_loss, forward, forward_full,
-                               init_params, param_shapes, total_loss,
-                               total_loss_and_grad, validate_params)
+from strandseg.network import (LossConfig, PARAM_ORDER, _conv_input_grad,
+                               _conv_param_grads, _dice_loss_grad,
+                               _discriminative_flat, discriminative_loss,
+                               forward, forward_full, init_params, param_shapes,
+                               total_loss, total_loss_and_grad, validate_params)
 
 
 def test_param_shapes_and_init_determinism():
@@ -134,7 +134,8 @@ def test_conv_backward_matches_loop_oracle(stride):
     x = rng.normal(size=(6, 6, 2))
     w = rng.normal(size=(3, 3, 2, 3))
     g_out = rng.normal(size=(6 // stride, 6 // stride, 3))
-    g_x, g_w, g_b = _conv_backward(x, w, stride, g_out)
+    g_w, g_b = _conv_param_grads(x, w, stride, g_out)
+    g_x = _conv_input_grad(x, w, stride, g_out)
     want_x, want_w, want_b = _oracle_conv_backward(x.tolist(), w.tolist(), g_out.tolist(),
                                                    stride)
     assert g_x.shape == x.shape and g_w.shape == w.shape and g_b.shape == (3,)
@@ -169,18 +170,18 @@ def test_forward_in_open_unit_interval():
 def test_dice_perfect_match_is_zero():
     target = np.zeros((6, 6))
     target[2:4, 1:5] = 1.0
-    assert dice_loss(target, target) == pytest.approx(0.0)
+    assert _dice_loss_grad(target, target)[0] == pytest.approx(0.0)
 
 
 def test_dice_all_on_empty_target():
     n = 36
     prob = np.ones((6, 6))
     target = np.zeros((6, 6))
-    assert dice_loss(prob, target) == pytest.approx(1 - 1 / (n + 1))
+    assert _dice_loss_grad(prob, target)[0] == pytest.approx(1 - 1 / (n + 1))
 
 
 def test_dice_empty_empty_is_zero():
-    assert dice_loss(np.zeros((5, 5)), np.zeros((5, 5))) == 0.0
+    assert _dice_loss_grad(np.zeros((5, 5)), np.zeros((5, 5)))[0] == 0.0
 
 
 def test_dice_in_unit_range():
@@ -188,7 +189,7 @@ def test_dice_in_unit_range():
     for _ in range(20):
         prob = rng.random((7, 7))
         target = (rng.random((7, 7)) > 0.5).astype(float)
-        val = dice_loss(prob, target)
+        val = _dice_loss_grad(prob, target)[0]
         assert 0.0 <= val < 1.0
 
 
@@ -376,7 +377,7 @@ def test_total_loss_weight_zeroing():
     # with w_dice 0 the total equals the discriminative part alone
     params, image, labels = gc.make_fixture(2)
     cfg = LossConfig(w_dice=0.0)
-    loss, _, parts = total_loss_and_grad(params, image, labels > 0, labels, cfg)
+    loss, _, parts = total_loss_and_grad(params, image, labels, cfg)
     assert loss == pytest.approx(parts["disc"])
     _, emb, _ = forward_full(params, image)
     disc_direct, _ = discriminative_loss(emb, labels, cfg)
@@ -387,22 +388,21 @@ def test_total_loss_weight_zeroing():
 def test_total_loss_equals_total_loss_and_grad(seed):
     params, image, labels = gc.make_fixture(seed)
     cfg = LossConfig()
-    loss, parts = total_loss(params, image, labels > 0, labels, cfg)
-    loss_g, _, parts_g = total_loss_and_grad(params, image, labels > 0, labels, cfg)
+    loss, parts = total_loss(params, image, labels, cfg)
+    loss_g, _, parts_g = total_loss_and_grad(params, image, labels, cfg)
     assert loss == loss_g
     assert parts == parts_g
 
 
-@pytest.mark.parametrize("which", ["seg_target", "labels"])
+@pytest.mark.parametrize("which", ["labels", "columns"])
 def test_total_loss_shape_checks_match(which):
+    # "labels" is a row short, "columns" a column short
     params, image, labels = gc.make_fixture(0)
-    seg_target, bad = labels > 0, labels[:-1]
-    args = (bad > 0, labels) if which == "seg_target" else (seg_target, bad)
-    match = "seg_target" if which == "seg_target" else "instance_labels"
-    with pytest.raises(ValueError, match=match):
-        total_loss(params, image, *args, LossConfig())
-    with pytest.raises(ValueError, match=match):
-        total_loss_and_grad(params, image, *args, LossConfig())
+    bad = labels[:-1] if which == "labels" else labels[:, :-1]
+    with pytest.raises(ValueError, match="instance_labels"):
+        total_loss(params, image, bad, LossConfig())
+    with pytest.raises(ValueError, match="instance_labels"):
+        total_loss_and_grad(params, image, bad, LossConfig())
 
 
 def test_total_loss_decreases_under_optimization():
@@ -411,9 +411,9 @@ def test_total_loss_decreases_under_optimization():
     cfg = LossConfig()
     opt = OptimConfig(learning_rate=3e-3)
     state = init_adam_state(params)
-    first, grads, _ = total_loss_and_grad(params, image, labels > 0, labels, cfg)
+    first, grads, _ = total_loss_and_grad(params, image, labels, cfg)
     for _ in range(50):
-        loss, grads, _ = total_loss_and_grad(params, image, labels > 0, labels, cfg)
+        loss, grads, _ = total_loss_and_grad(params, image, labels, cfg)
         params, state = adamw_step(params, grads, state, opt)
-    final, _, _ = total_loss_and_grad(params, image, labels > 0, labels, cfg)
+    final, _, _ = total_loss_and_grad(params, image, labels, cfg)
     assert final < first

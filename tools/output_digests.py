@@ -11,6 +11,7 @@ set of units untimed:
   eval64   seeds 1-3, units 0-3 (all four datasets of each seed)
   maps512  seeds 1-3 and 19, units 0-4 (all five images of each seed)
   train64  seed 1, unit 0
+  gradcheck16  seed 1, unit 0 (one fixture of the gradient check)
 
 It prints one line per unit, `workload/seed/unit digest failed`, where
 `digest` is the workload's fingerprint of the unit's outputs and `failed`
@@ -29,6 +30,7 @@ RUNS = (
     ("eval64", (1, 2, 3), range(4)),
     ("maps512", (1, 2, 3, 19), range(5)),
     ("train64", (1,), range(1)),
+    ("gradcheck16", (1,), range(1)),
 )
 
 
