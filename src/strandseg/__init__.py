@@ -9,9 +9,8 @@ involved.
 
 from .clustering import ClusterModel, MeanShiftConfig, augment_coordinates, mean_shift
 from .config import ConfigError, RunConfig, load_run_config, run_config_from_dict
-from .formats import (read_pgm, read_ppm, read_tensors, write_pgm, write_ppm,
-                      write_tensors)
-from .grids import AugmentParams, augment, hflip, rotate_grid, upsample_bilinear
+from .formats import read_pgm, read_tensors, write_pgm, write_ppm, write_tensors
+from .grids import AugmentParams, augment, rotate_grid, upsample_bilinear
 from .intersections import (ResolveConfig, build_instances, min_similarity,
                             resolve_pixel, similarity_scores)
 from .metrics import (THRESHOLDS, MetricReport, connected_components,

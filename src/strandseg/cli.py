@@ -19,7 +19,7 @@ from .formats import (atomic_write_bytes, read_pgm, read_tensors, write_pgm,
                       write_ppm, write_tensors)
 from .gradcheck import run_suite
 from .metrics import evaluate_dataset
-from .network import EMB_DIM, PARAM_ORDER, TRUNK_CHANNELS, validate_params
+from .network import EMB_DIM, PARAM_ORDER, TRUNK_CHANNELS, _check_image, validate_params
 from .optim import DivergenceError
 from .pipeline import infer, infer_cc_baseline
 from .render import render_overlay
@@ -41,6 +41,15 @@ def _mask_entries(instances: InstanceSet) -> dict:
 def _read_image(path) -> np.ndarray:
     try:
         return read_pgm(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _read_network_image(path) -> np.ndarray:
+    """An image of a size the network takes, or a ConfigError naming its file."""
+    image = _read_image(path)
+    try:
+        return _check_image(image)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -91,7 +100,7 @@ def _load_dataset(dataset_dir) -> list:
                 and isinstance(entry.get("masks"), str)):
             raise ConfigError(f"{manifest_path}: scene entry {i} needs string "
                               "\"image\" and \"masks\" paths")
-        image = _read_image(os.path.join(dataset_dir, entry["image"]))
+        image = _read_network_image(os.path.join(dataset_dir, entry["image"]))
         masks_path = os.path.join(dataset_dir, entry["masks"])
         scenes.append(Scene(image, _read_instances(masks_path, *image.shape)))
     return scenes
@@ -198,7 +207,7 @@ def cmd_eval(args) -> int:
 def cmd_infer(args) -> int:
     pipe = _load_config(args).pipeline
     params = _load_checkpoint(args.checkpoint)
-    image = _read_image(args.image)
+    image = _read_network_image(args.image)
     instances, fg, diag = infer(params, image, pipe)
     os.makedirs(args.out, exist_ok=True)
     write_tensors(os.path.join(args.out, "instances.segt"), _mask_entries(instances))

@@ -103,16 +103,6 @@ def write_ppm(path: str, rgb: np.ndarray) -> None:
     atomic_write_bytes(path, encode_ppm(rgb))
 
 
-def read_ppm(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    w, h, pos = _read_netpbm_header(data, b"P6")
-    raster = data[pos : pos + 3 * w * h]
-    if len(raster) != 3 * w * h:
-        raise ValueError("truncated PPM raster")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w, 3).copy()
-
-
 # ---------------------------------------------------------------------------
 # SEGT tensor container
 #

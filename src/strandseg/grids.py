@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .synth import InstanceSet
+
 
 def validate_image(image: np.ndarray) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
@@ -45,34 +47,35 @@ def upsample_bilinear(src: np.ndarray, target_h: int, target_w: int) -> np.ndarr
 
     ys = positions(h, target_h)
     xs = positions(w, target_w)
+    return _bilinear(src, ys[:, None], xs[None, :])
+
+
+def _bilinear(src: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Sample `src` bilinearly at broadcastable positions `ys`, `xs` inside the grid."""
+    h, w = src.shape[:2]
     y0 = np.minimum(np.floor(ys).astype(int), h - 1)
     x0 = np.minimum(np.floor(xs).astype(int), w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
+    fy = ys - y0
+    fx = xs - x0
     if src.ndim == 3:
         fy = fy[..., None]
         fx = fx[..., None]
 
-    top = src[np.ix_(y0, x0)] * (1 - fx) + src[np.ix_(y0, x1)] * fx
-    bot = src[np.ix_(y1, x0)] * (1 - fx) + src[np.ix_(y1, x1)] * fx
+    top = src[y0, x0] * (1 - fx) + src[y0, x1] * fx
+    bot = src[y1, x0] * (1 - fx) + src[y1, x1] * fx
     return top * (1 - fy) + bot * fy
-
-
-def hflip(arr: np.ndarray) -> np.ndarray:
-    """Mirror a grid/field left-right. Involution."""
-    return np.asarray(arr)[:, ::-1].copy()
 
 
 def rotate_grid(arr: np.ndarray, degrees: float, nearest: bool = False) -> np.ndarray:
     """Rotate about the grid center, filling uncovered pixels with 0.
 
-    Bilinear sampling by default; `nearest` keeps binary masks binary.
-    Implemented as an inverse mapping so rotate(x, a) followed by
-    rotate(., -a) round-trips up to resampling loss.
+    Bilinear sampling by default; `nearest` keeps the input's dtype, so
+    binary masks stay binary. Implemented as an inverse mapping so
+    rotate(x, a) followed by rotate(., -a) round-trips up to resampling loss.
     """
-    arr = np.asarray(arr, dtype=np.float64)
+    arr = np.asarray(arr)
     h, w = arr.shape[:2]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     theta = np.deg2rad(degrees)
@@ -85,34 +88,12 @@ def rotate_grid(arr: np.ndarray, degrees: float, nearest: bool = False) -> np.nd
     src_y = cos_t * dy + sin_t * dx + cy
     src_x = -sin_t * dy + cos_t * dx + cx
 
+    # A one-pixel zero border: every position beyond the grid reads it.
+    padded = np.pad(arr, [(1, 1), (1, 1)] + [(0, 0)] * (arr.ndim - 2))
     if nearest:
-        ry = np.rint(src_y).astype(int)
-        rx = np.rint(src_x).astype(int)
-        valid = (ry >= 0) & (ry < h) & (rx >= 0) & (rx < w)
-        out = np.zeros_like(arr)
-        out[valid] = arr[ry[valid], rx[valid]]
-        return out
-
-    y0 = np.floor(src_y).astype(int)
-    x0 = np.floor(src_x).astype(int)
-    fy = src_y - y0
-    fx = src_x - x0
-    if arr.ndim == 3:
-        fy = fy[..., None]
-        fx = fx[..., None]
-    out = np.zeros_like(arr)
-
-    def corner(yi, xi):
-        inside = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        vals = np.zeros_like(arr)
-        vals[inside] = arr[yi[inside], xi[inside]]
-        return vals
-
-    out += corner(y0, x0) * (1 - fy) * (1 - fx)
-    out += corner(y0, x0 + 1) * (1 - fy) * fx
-    out += corner(y0 + 1, x0) * fy * (1 - fx)
-    out += corner(y0 + 1, x0 + 1) * fy * fx
-    return out
+        return padded[np.rint(np.clip(src_y, -1, h)).astype(int) + 1,
+                      np.rint(np.clip(src_x, -1, w)).astype(int) + 1]
+    return _bilinear(padded, np.clip(src_y + 1, 0, h + 1), np.clip(src_x + 1, 0, w + 1))
 
 
 def adjust_brightness(image: np.ndarray, delta: float) -> np.ndarray:
@@ -156,8 +137,6 @@ def augment(image, instances, params: AugmentParams, rng_seed: int):
     transforms (brightness, contrast) hit the image only. Deterministic for a
     fixed seed. Returns a new (image, instances) pair.
     """
-    from .synth import InstanceSet
-
     image = validate_image(image)
     if (instances.height, instances.width) != image.shape:
         raise ValueError(
@@ -180,10 +159,10 @@ def augment(image, instances, params: AugmentParams, rng_seed: int):
     if do_rotate and angle != 0.0:
         out_image = rotate_grid(out_image, angle)
         # rotate_grid turns the first two axes, so the stack goes in as (H, W, K).
-        masks = rotate_grid(masks.transpose(1, 2, 0), angle, nearest=True).transpose(2, 0, 1) >= 0.5
+        masks = rotate_grid(masks.transpose(1, 2, 0), angle, nearest=True).transpose(2, 0, 1)
     if do_flip:
-        out_image = hflip(out_image)
-        masks = np.flip(masks, axis=2)  # W is axis 2 of the stack, not hflip's axis 1
+        out_image = np.flip(out_image, axis=1)
+        masks = np.flip(masks, axis=2)
     if do_brightness:
         out_image = adjust_brightness(out_image, brightness)
     if do_contrast:

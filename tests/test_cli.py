@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from strandseg.cli import main
-from strandseg.formats import read_pgm, read_ppm, read_tensors, write_pgm, write_tensors
+from strandseg.formats import encode_ppm, read_pgm, read_tensors, write_pgm, write_tensors
 from strandseg.network import PARAM_ORDER, init_params
-from strandseg.synth import SceneSpec, generate_scene
+from strandseg.render import render_overlay
+from strandseg.synth import InstanceSet, SceneSpec, generate_scene
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DESK_CONFIG = os.path.join(ROOT, "configs", "desk64.json")
@@ -127,6 +128,28 @@ def test_masks_of_another_size_than_their_image_exit_2(tmp_path, cfg_path, capsy
     assert err.startswith("config error: ") and "scene_0001_masks.segt" in err
 
 
+@pytest.mark.parametrize("command", ["infer", "eval"])
+def test_images_the_network_cannot_take_exit_2_naming_the_file(tmp_path, cfg_path, command,
+                                                               capsys):
+    odd = generate_scene(SceneSpec(height=33, width=33), 1)
+    if command == "infer":
+        path = str(tmp_path / "odd.pgm")
+        argv = ["infer", "--image", path]
+    else:  # a dataset whose second scene is 33 x 33, masks included
+        data = tmp_path / "data"
+        _synth(cfg_path, str(data), count=2)
+        path = os.path.join(str(data), "scene_0001.pgm")
+        argv = ["eval", "--dataset", str(data)]
+        write_tensors(data / "scene_0001_masks.segt",
+                      {f"mask_{k:03d}": m.astype(np.float32)
+                       for k, m in enumerate(odd.instances.masks)})
+    write_pgm(path, odd.image)
+    capsys.readouterr()
+    assert main(argv + ["--checkpoint", DESK_CHECKPOINT, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: image dims must be even"), err
+
+
 def test_train_eval_infer_render_flow(tmp_path, cfg_path):
     data = str(tmp_path / "data")
     _synth(cfg_path, data)
@@ -187,14 +210,21 @@ def test_train_eval_infer_render_flow(tmp_path, cfg_path):
     assert "timings_ms" in diag
     sim = read_tensors(os.path.join(inf, "min_similarity.segt"))["min_similarity"]
     assert sim.shape == (32, 32)
-    overlay = read_ppm(os.path.join(inf, "overlay.ppm"))
-    assert overlay.shape == (32, 32, 3)
+    image = read_pgm(image_path)
+
+    def overlay_bytes(masks_path):
+        entries = read_tensors(masks_path)
+        masks = InstanceSet(32, 32, [entries[name] >= 0.5 for name in sorted(entries)])
+        return encode_ppm(render_overlay(image, masks))
+
+    with open(os.path.join(inf, "overlay.ppm"), "rb") as fh:
+        assert fh.read() == overlay_bytes(os.path.join(inf, "instances.segt"))
 
     rendered = str(tmp_path / "gt_overlay.ppm")
-    assert main(["render", "--image", image_path,
-                 "--masks", os.path.join(data, "scene_0000_masks.segt"),
-                 "--out", rendered]) == 0
-    assert read_ppm(rendered).shape == (32, 32, 3)
+    gt_masks = os.path.join(data, "scene_0000_masks.segt")
+    assert main(["render", "--image", image_path, "--masks", gt_masks, "--out", rendered]) == 0
+    with open(rendered, "rb") as fh:
+        assert fh.read() == overlay_bytes(gt_masks)
 
 
 def test_train_epochs_override(tmp_path, cfg_path):

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from strandseg.grids import (AugmentParams, adjust_brightness, adjust_contrast,
-                             augment, hflip, rotate_grid, upsample_bilinear)
+                             augment, rotate_grid, upsample_bilinear)
 from strandseg.synth import InstanceSet, rasterize_polyline
 
 
@@ -56,12 +58,6 @@ def test_upsample_rejects_downsampling():
         upsample_bilinear(np.zeros((4, 4)), 2, 4)
 
 
-def test_hflip_involution():
-    rng = np.random.default_rng(3)
-    img = rng.random((5, 8))
-    assert np.array_equal(hflip(hflip(img)), img)
-
-
 def test_rotate_zero_degrees_is_identity():
     rng = np.random.default_rng(4)
     img = rng.random((9, 9))
@@ -83,6 +79,51 @@ def test_rotate_round_trip_mask_iou():
     inter = (mask & back).sum()
     union = (mask | back).sum()
     assert inter / union > 0.85
+
+
+def _rotate_oracle(arr, degrees, nearest):
+    """rotate_grid one output pixel at a time, reading only inside the grid."""
+    h, w = arr.shape[:2]
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    theta = np.deg2rad(degrees)
+    cos_t, sin_t = float(np.cos(theta)), float(np.sin(theta))
+    out = np.zeros(arr.shape, dtype=arr.dtype if nearest else np.float64)
+    for r in range(h):
+        for c in range(w):
+            sy = cos_t * (r - cy) + sin_t * (c - cx) + cy
+            sx = -sin_t * (r - cy) + cos_t * (c - cx) + cx
+            if nearest:
+                ry, rx = round(sy), round(sx)  # half to even, like np.rint
+                if 0 <= ry < h and 0 <= rx < w:
+                    out[r, c] = arr[ry, rx]
+                continue
+            y0, x0 = math.floor(sy), math.floor(sx)
+            fy, fx = sy - y0, sx - x0
+            for yi, xi, weight in ((y0, x0, (1 - fy) * (1 - fx)), (y0, x0 + 1, (1 - fy) * fx),
+                                   (y0 + 1, x0, fy * (1 - fx)), (y0 + 1, x0 + 1, fy * fx)):
+                if 0 <= yi < h and 0 <= xi < w:
+                    out[r, c] += weight * arr[yi, xi]
+    return out
+
+
+@pytest.mark.parametrize("degrees", [0.0, 9.0, -9.0, 45.0, 90.0, 180.0])
+@pytest.mark.parametrize("shape", [(9, 12), (10, 7, 2), (11, 11, 3)])
+def test_rotate_matches_per_pixel_oracle(shape, degrees):
+    rng = np.random.default_rng(len(shape))
+    img = rng.random(shape)
+    assert np.array_equal(rotate_grid(img, degrees, nearest=True),
+                          _rotate_oracle(img, degrees, nearest=True))
+    assert np.allclose(rotate_grid(img, degrees), _rotate_oracle(img, degrees, nearest=False),
+                       rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.float32])
+def test_rotate_nearest_keeps_dtype(dtype):
+    rng = np.random.default_rng(6)
+    arr = rng.integers(0, 3, size=(10, 13, 2)).astype(dtype)
+    out = rotate_grid(arr, 25.0, nearest=True)
+    assert out.dtype == arr.dtype
+    assert np.array_equal(out, _rotate_oracle(arr, 25.0, nearest=True))
 
 
 def test_rotate_fills_uncovered_with_zero():
@@ -148,9 +189,9 @@ def test_augment_geometry_hits_image_and_masks_alike():
     params = AugmentParams(rotation_degrees=0.0, brightness_delta=0.0,
                            contrast_delta=0.0, per_transform_probability=1.0)
     out_img, out_inst = augment(img, inst, params, rng_seed=3)
-    assert np.array_equal(out_img, hflip(img))
+    assert np.array_equal(out_img, np.flip(img, axis=1))
     for m_out, m_in in zip(out_inst.masks, inst.masks):
-        assert np.array_equal(m_out, hflip(m_in))
+        assert np.array_equal(m_out, np.flip(m_in, axis=1))
 
 
 @pytest.mark.parametrize("degrees,flip,k", [(0.0, True, 2), (25.0, False, 3),
@@ -171,8 +212,8 @@ def test_augment_transforms_the_mask_stack_as_each_mask(degrees, flip, k):
     for mask in masks:
         if angle != 0.0:
             mask = rotate_grid(mask.astype(np.float64), angle, nearest=True) >= 0.5
-        want.append(hflip(mask) if flip else mask)
-    assert out_inst.masks.shape == (k, 14, 19)
+        want.append(np.flip(mask, axis=1) if flip else mask)
+    assert out_inst.masks.shape == (k, 14, 19) and out_inst.masks.dtype == bool
     assert np.array_equal(out_inst.masks, np.array(want, dtype=bool).reshape(k, 14, 19))
 
 

@@ -78,7 +78,6 @@ def test_center_distances_computed_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(clustering, "center_distances", counted)
-    monkeypatch.setattr(intersections, "center_distances", counted, raising=False)
     seg, emb, _, _ = _oracle_maps()
     _, _, diag = instances_from_maps(seg, emb, _cfg())
     assert diag.clusters == 2
