@@ -50,11 +50,11 @@ def write_pgm(path: str, image: np.ndarray) -> None:
     atomic_write_bytes(path, encode_pgm(image))
 
 
-def _read_netpbm_header(data: bytes, magic: bytes):
+def _read_pgm_header(data: bytes):
     # Header tokens may be separated by any whitespace and '#' comments.
-    if not data.startswith(magic):
-        raise ValueError(f"not a {magic.decode()} file")
-    pos = len(magic)
+    if not data.startswith(b"P5"):
+        raise ValueError("not a P5 file")
+    pos = 2
     tokens = []
     while len(tokens) < 3:
         while pos < len(data) and data[pos : pos + 1].isspace():
@@ -82,7 +82,7 @@ def read_pgm(path: str) -> np.ndarray:
     """Read an 8-bit binary PGM into a float grid in [0,1]."""
     with open(path, "rb") as fh:
         data = fh.read()
-    w, h, pos = _read_netpbm_header(data, b"P5")
+    w, h, pos = _read_pgm_header(data)
     raster = data[pos : pos + w * h]
     if len(raster) != w * h:
         raise ValueError("truncated PGM raster")

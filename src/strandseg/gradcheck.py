@@ -60,10 +60,28 @@ def make_fixture(seed: int):
         attempt_seed += 1000003
 
 
+def _worst_fd_error(loss, theta, analytic, entries) -> float:
+    """Worst rel_err of `analytic` against central differences of `loss()`
+    over the listed flat entries of `theta`, each moved by +-DEFAULT_STEP in
+    place and then restored."""
+    flat = theta.reshape(-1)
+    g_flat = analytic.reshape(-1)
+    worst = 0.0
+    for i in entries:
+        orig = flat[i]
+        flat[i] = orig + DEFAULT_STEP
+        hi = loss()
+        flat[i] = orig - DEFAULT_STEP
+        lo = loss()
+        flat[i] = orig
+        worst = max(worst, rel_err(g_flat[i], (hi - lo) / (2 * DEFAULT_STEP)))
+    return worst
+
+
 def check_discriminative(seed: int) -> float:
     """Max relative FD error of the discriminative loss over a random field
     of 40 embedding vectors in 3 dimensions; returns the worst entry."""
-    n_points, dim, cfg, step = 40, 3, LossConfig(), DEFAULT_STEP
+    n_points, dim, cfg = 40, 3, LossConfig()
     attempt_seed = seed
     while True:
         rng = np.random.default_rng(attempt_seed)
@@ -71,50 +89,31 @@ def check_discriminative(seed: int) -> float:
         vectors = rng.normal(0.0, 1.2, size=(n_points, dim))
         ids = rng.integers(1, n_inst + 1, size=n_points)
         if len(np.unique(ids)) == n_inst and _hinge_margins_ok(
-                vectors, ids, cfg, 5 * step):
+                vectors, ids, cfg, 5 * DEFAULT_STEP):
             break
         attempt_seed += 1000003
 
-    # exercise the field-shaped public entry point
+    # exercise the field-shaped public entry point; the vectors fill the
+    # field's first n_points pixels, so its first n_points * dim entries
     side = int(np.ceil(np.sqrt(n_points)))
     emb = np.zeros((side, side, dim))
     labels = np.zeros((side, side), dtype=np.int64)
-    flat_r, flat_c = np.divmod(np.arange(n_points), side)
-    emb[flat_r, flat_c] = vectors
-    labels[flat_r, flat_c] = ids
+    emb.reshape(-1, dim)[:n_points] = vectors
+    labels.reshape(-1)[:n_points] = ids
 
     _, grad = discriminative_loss(emb, labels, cfg)
-    worst = 0.0
-    for r, c in zip(flat_r, flat_c):
-        for d in range(dim):
-            e_hi = emb.copy(); e_hi[r, c, d] += step
-            e_lo = emb.copy(); e_lo[r, c, d] -= step
-            hi, _ = discriminative_loss(e_hi, labels, cfg)
-            lo, _ = discriminative_loss(e_lo, labels, cfg)
-            numeric = (hi - lo) / (2 * step)
-            worst = max(worst, rel_err(grad[r, c, d], numeric))
-    return worst
+    return _worst_fd_error(lambda: discriminative_loss(emb, labels, cfg)[0], emb, grad,
+                           range(n_points * dim))
 
 
 def check_total(params, image, labels) -> float:
     """Max relative FD error of total_loss_and_grad's gradients against
     central differences of total_loss, over every parameter entry."""
-    cfg, step = LossConfig(), DEFAULT_STEP
+    cfg = LossConfig()
     _, grads, _ = total_loss_and_grad(params, image, labels, cfg)
-    worst = 0.0
-    for name in PARAM_ORDER:
-        theta = params[name]
-        flat = theta.reshape(-1)
-        g_flat = grads[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi, _ = total_loss(params, image, labels, cfg)
-            flat[i] = orig - step
-            lo, _ = total_loss(params, image, labels, cfg)
-            flat[i] = orig
-            worst = max(worst, rel_err(g_flat[i], (hi - lo) / (2 * step)))
-    return worst
+    return max(_worst_fd_error(lambda: total_loss(params, image, labels, cfg)[0],
+                               params[name], grads[name], range(params[name].size))
+               for name in PARAM_ORDER)
 
 
 def run_suite(seed: int = 0, fixtures: int = 10, progress=None) -> dict:

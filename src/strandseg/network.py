@@ -42,13 +42,10 @@ TRUNK_CHANNELS = 16
 EMB_DIM = 3
 DICE_EPS = 1.0
 
-PARAM_ORDER = (
-    "conv1_w", "conv1_b",
-    "conv2_w", "conv2_b",
-    "conv3_w", "conv3_b",
-    "seg_w", "seg_b",
-    "emb_w", "emb_b",
-)
+# The trunk's 3x3 convolutions in order, each followed by tanh, as
+# (name, stride). `forward_full` runs them first to last and `backward` last
+# to first; this is the one place a stride is written.
+TRUNK = (("conv1", 1), ("conv2", 2), ("conv3", 1))
 
 
 def param_shapes() -> dict:
@@ -66,21 +63,20 @@ def param_shapes() -> dict:
     }
 
 
+# Each weight followed by its bias, in the order checkpoints store them.
+PARAM_ORDER = tuple(param_shapes())
+
+
 def init_params(seed: int) -> dict:
     """Seeded uniform fan-in initialization: U(-1/sqrt(fan_in), +1/sqrt(fan_in)),
     biases drawn with the bound of their weight tensor."""
     rng = np.random.default_rng(seed)
     shapes = param_shapes()
     params = {}
-    for name in PARAM_ORDER:
-        shape = shapes[name]
-        if name.endswith("_w"):
-            fan_in = int(np.prod(shape[:-1]))
-            bound = 1.0 / np.sqrt(fan_in)
-            params[name] = rng.uniform(-bound, bound, size=shape)
-            last_bound = bound
-        else:
-            params[name] = rng.uniform(-last_bound, last_bound, size=shape)
+    for w_name, b_name in zip(PARAM_ORDER[::2], PARAM_ORDER[1::2]):
+        bound = 1.0 / np.sqrt(int(np.prod(shapes[w_name][:-1])))
+        params[w_name] = rng.uniform(-bound, bound, size=shapes[w_name])
+        params[b_name] = rng.uniform(-bound, bound, size=shapes[b_name])
     return params
 
 
@@ -155,15 +151,15 @@ def forward_full(params: dict, image: np.ndarray):
     """
     image = _check_image(image)
     validate_params(params)
-    x0 = image[:, :, None]
-    a1 = np.tanh(_conv_forward(x0, params["conv1_w"], params["conv1_b"], 1))
-    a2 = np.tanh(_conv_forward(a1, params["conv2_w"], params["conv2_b"], 2))
-    a3 = np.tanh(_conv_forward(a2, params["conv3_w"], params["conv3_b"], 1))
+    acts = [image[:, :, None]]
+    for name, stride in TRUNK:
+        acts.append(np.tanh(_conv_forward(acts[-1], params[name + "_w"], params[name + "_b"],
+                                          stride)))
+    a3 = acts[-1]
     logits = a3 @ params["seg_w"] + params["seg_b"]
     seg_prob = _sigmoid(logits[:, :, 0])
     emb = a3 @ params["emb_w"] + params["emb_b"]
-    cache = {"x0": x0, "a1": a1, "a2": a2, "a3": a3, "seg_prob": seg_prob}
-    return seg_prob, emb, cache
+    return seg_prob, emb, {"acts": acts, "seg_prob": seg_prob}
 
 
 def forward(params: dict, image: np.ndarray):
@@ -174,7 +170,8 @@ def forward(params: dict, image: np.ndarray):
 
 def backward(params: dict, cache: dict, g_seg_prob: np.ndarray, g_emb: np.ndarray) -> dict:
     """Backpropagate head-output gradients to every parameter."""
-    a3 = cache["a3"]
+    acts = cache["acts"]
+    a3 = acts[-1]
     seg_prob = cache["seg_prob"]
     # Through the logistic: dL/dlogit = dL/dp * p * (1 - p).
     g_logits = (g_seg_prob * seg_prob * (1.0 - seg_prob))[:, :, None]
@@ -185,20 +182,16 @@ def backward(params: dict, cache: dict, g_seg_prob: np.ndarray, g_emb: np.ndarra
         "emb_w": a3_t @ g_emb.reshape(-1, g_emb.shape[2]),
         "emb_b": g_emb.sum(axis=(0, 1)),
     }
-    g_a3 = g_logits @ params["seg_w"].T + g_emb @ params["emb_w"].T
-    g_z3 = g_a3 * (1.0 - a3 * a3)
-    # g_w before g_x: with g_x formed first, the pair took twice as long at 64 px.
-    grads["conv3_w"], grads["conv3_b"] = _conv_param_grads(
-        cache["a2"], params["conv3_w"], 1, g_z3)
-    g_a2 = _conv_input_grad(cache["a2"], params["conv3_w"], 1, g_z3)
-    g_z2 = g_a2 * (1.0 - cache["a2"] ** 2)
-    grads["conv2_w"], grads["conv2_b"] = _conv_param_grads(
-        cache["a1"], params["conv2_w"], 2, g_z2)
-    g_a1 = _conv_input_grad(cache["a1"], params["conv2_w"], 2, g_z2)
-    g_z1 = g_a1 * (1.0 - cache["a1"] ** 2)
-    # Nothing reads the gradient with respect to the input image.
-    grads["conv1_w"], grads["conv1_b"] = _conv_param_grads(
-        cache["x0"], params["conv1_w"], 1, g_z1)
+    g_a = g_logits @ params["seg_w"].T + g_emb @ params["emb_w"].T
+    for k in reversed(range(len(TRUNK))):
+        (name, stride), x, a = TRUNK[k], acts[k], acts[k + 1]
+        w = params[name + "_w"]
+        g_z = g_a * (1.0 - a * a)
+        # g_w before g_x: with g_x formed first, the pair took twice as long at 64 px.
+        grads[name + "_w"], grads[name + "_b"] = _conv_param_grads(x, w, stride, g_z)
+        # Nothing reads the gradient with respect to the input image.
+        if k:
+            g_a = _conv_input_grad(x, w, stride, g_z)
     return grads
 
 

@@ -144,8 +144,9 @@ class SceneSpec:
 
     def __post_init__(self):
         for name in ("height", "width"):
-            if not getattr(self, name) >= 8:
-                raise ValueError(f"{name} must be >= 8")
+            value = getattr(self, name)
+            if not (value >= 8 and value % 2 == 0):
+                raise ValueError(f"{name} must be even and >= 8")
         if not self.curves_min >= 1:
             raise ValueError("curves_min must be >= 1")
         if not self.curves_max >= self.curves_min:

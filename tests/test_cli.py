@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from strandseg.cli import main
-from strandseg.formats import encode_ppm, read_pgm, read_tensors, write_pgm, write_tensors
+from strandseg.formats import (encode_ppm, read_pgm, read_tensors, write_pgm, write_ppm,
+                               write_tensors)
 from strandseg.network import PARAM_ORDER, init_params
 from strandseg.render import render_overlay
 from strandseg.synth import InstanceSet, SceneSpec, generate_scene
@@ -131,7 +132,8 @@ def test_masks_of_another_size_than_their_image_exit_2(tmp_path, cfg_path, capsy
 @pytest.mark.parametrize("command", ["infer", "eval"])
 def test_images_the_network_cannot_take_exit_2_naming_the_file(tmp_path, cfg_path, command,
                                                                capsys):
-    odd = generate_scene(SceneSpec(height=33, width=33), 1)
+    scene = generate_scene(SceneSpec(height=34, width=34), 1)
+    odd_image, odd_masks = scene.image[:33, :33], scene.instances.masks[:, :33, :33]
     if command == "infer":
         path = str(tmp_path / "odd.pgm")
         argv = ["infer", "--image", path]
@@ -142,12 +144,22 @@ def test_images_the_network_cannot_take_exit_2_naming_the_file(tmp_path, cfg_pat
         argv = ["eval", "--dataset", str(data)]
         write_tensors(data / "scene_0001_masks.segt",
                       {f"mask_{k:03d}": m.astype(np.float32)
-                       for k, m in enumerate(odd.instances.masks)})
-    write_pgm(path, odd.image)
+                       for k, m in enumerate(odd_masks)})
+    write_pgm(path, odd_image)
     capsys.readouterr()
     assert main(argv + ["--checkpoint", DESK_CHECKPOINT, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: image dims must be even"), err
+
+
+def test_synth_rejects_odd_scene_sides_naming_the_key(tmp_path, capsys):
+    # the network takes only even sides, so synth must not write such a dataset
+    path = tmp_path / "odd.json"
+    path.write_text('{"scene": {"height": 33, "width": 33}}')
+    out = tmp_path / "synth"
+    assert main(["synth", "--config", str(path), "--count", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: scene.height must be even and >= 8\n"
+    assert not out.exists()
 
 
 def test_train_eval_infer_render_flow(tmp_path, cfg_path):
@@ -382,6 +394,14 @@ def test_truncated_files_exit_2_naming_the_file(tmp_path, infer_args, capsys):
         assert "unpack_from" not in err and "Traceback" not in err
         with open(path, "wb") as fh:
             fh.write(whole)
+
+
+def test_infer_on_a_ppm_exits_2_naming_the_file(tmp_path, infer_args, capsys):
+    path = str(tmp_path / "x.ppm")
+    write_ppm(path, np.zeros((32, 32, 3), dtype=np.uint8))
+    infer_args[4] = path
+    assert main(infer_args) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: not a P5 file")
 
 
 def test_infer_warns_when_mean_shift_hits_iteration_cap(tmp_path, infer_args, capsys):

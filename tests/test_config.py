@@ -66,7 +66,8 @@ def test_invalid_value_surfaces_as_config_error():
 
 # One out-of-range value per range check of the seven settings dataclasses.
 RANGE_CASES = [
-    ("scene", "height", 7), ("scene", "width", 7), ("scene", "curves_min", 0),
+    ("scene", "height", 7), ("scene", "width", 7), ("scene", "height", 33),
+    ("scene", "width", 9), ("scene", "curves_min", 0),
     ("scene", "curves_max", 1), ("scene", "stroke_min", 0.0), ("scene", "stroke_max", 1.0),
     ("scene", "intensity_min", -0.1), ("scene", "intensity_max", 0.5),
     ("scene", "intensity_max", 1.5), ("scene", "noise_sigma", -0.1),

@@ -65,6 +65,13 @@ def test_pgm_rejects_wrong_magic(tmp_path):
         read_pgm(path)
 
 
+def test_pgm_reader_rejects_a_ppm(tmp_path):
+    path = tmp_path / "x.ppm"
+    write_ppm(path, np.zeros((4, 4, 3), dtype=np.uint8))
+    with pytest.raises(ValueError, match="^not a P5 file$"):
+        read_pgm(path)
+
+
 def test_ppm_round_trip_exact(tmp_path):
     rng = np.random.default_rng(1)
     rgb = rng.integers(0, 256, size=(9, 5, 3), dtype=np.uint8)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import strandseg.gradcheck as gc
 from strandseg.gradcheck import (DEFAULT_STEP, _hinge_margins_ok,
                                  check_discriminative, make_fixture, rel_err,
                                  run_suite)
@@ -57,3 +58,51 @@ def test_run_suite_single_fixture():
     assert report["max_rel_err_disc"] <= 1e-4
     assert report["max_rel_err_total"] <= 1e-4
     assert report["step"] == DEFAULT_STEP
+
+
+def _recording_loss(arrays, moves):
+    """A loss stub that appends (flat index, signed move) of the one entry of
+    `arrays` that differs from its value at the first call, and returns 0."""
+    start = np.concatenate([a.reshape(-1) for a in arrays])
+
+    def loss():
+        now = np.concatenate([a.reshape(-1) for a in arrays])
+        (moved,) = np.flatnonzero(now != start)  # exactly one entry moved
+        moves.append((int(moved), float(now[moved] - start[moved])))
+        return 0.0
+
+    return start, loss
+
+
+def _assert_up_down_each(moves, n_entries):
+    assert [i for i, _ in moves] == [i for i in range(n_entries) for _ in (0, 1)]
+    assert [d > 0 for _, d in moves] == [True, False] * n_entries
+    assert np.allclose([abs(d) for _, d in moves], DEFAULT_STEP, rtol=1e-6, atol=0)
+
+
+def test_check_total_moves_every_parameter_entry_up_then_down(monkeypatch):
+    params, image, labels = make_fixture(0)
+    arrays = [params[name] for name in gc.PARAM_ORDER]
+    moves = []
+    start, loss = _recording_loss(arrays, moves)
+    monkeypatch.setattr(gc, "total_loss", lambda *args: (loss(), {}))
+    gc.check_total(params, image, labels)
+    _assert_up_down_each(moves, 4868)
+    assert np.array_equal(np.concatenate([a.reshape(-1) for a in arrays]), start)
+
+
+def test_check_discriminative_moves_every_field_entry_up_then_down(monkeypatch):
+    moves, stub = [], {}
+
+    def discriminative_loss(emb, labels, cfg):
+        if "loss" not in stub:  # the analytic call comes first
+            stub["field"] = emb
+            stub["start"], stub["loss"] = _recording_loss([emb], moves)
+            return 0.0, np.zeros_like(emb)
+        assert emb is stub["field"]
+        return stub["loss"](), None
+
+    monkeypatch.setattr(gc, "discriminative_loss", discriminative_loss)
+    gc.check_discriminative(0)
+    _assert_up_down_each(moves, 120)
+    assert np.array_equal(stub["field"].reshape(-1), stub["start"])
